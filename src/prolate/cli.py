@@ -23,6 +23,9 @@ from .experiments import (EXP3_HEADER, FIGURE_HEADER, TABLE1_HEADER,
 from .spectrum import ProlateContext, TruncationNotConverged
 
 
+_FORMATS = ("csv", "json")
+
+
 def _parse_c_list(text):
     try:
         values = tuple(float(x) for x in text.split(","))
@@ -70,7 +73,7 @@ def _add_common(sub):
     sub.add_argument("--c", type=_parse_c_list, default=None,
                      help="comma-separated band limits")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    sub.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
     sub.add_argument("--large", action="store_true",
                      help="include c = 1e5 (multi-minute budget)")
     sub.add_argument("--parallel", type=int, default=None, metavar="N")
@@ -111,6 +114,19 @@ def build_parser():
     return parser
 
 
+def _config_format(v):
+    if v not in _FORMATS:
+        raise ValueError(f"expected one of {_FORMATS}, got {v!r}")
+    return v
+
+
+def _config_flag(v):
+    # bool("false") is True, so a JSON string must not pass as a flag
+    if not isinstance(v, bool):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
 def _apply_config(args, parser):
     if args.config is None:
         return args
@@ -119,26 +135,34 @@ def _apply_config(args, parser):
             data = json.load(fh)
     except (OSError, ValueError) as err:
         parser.error(f"cannot read config file: {err}")
+    if not isinstance(data, dict):
+        parser.error("config file must hold a JSON object")
     mapping = {
         "c_list": ("c", lambda v: tuple(float(x) for x in v)),
         "eps": ("eps", lambda v: _parse_eps_list(v if isinstance(v, str) else ",".join(map(str, v)))),
-        "format": ("fmt", str),
+        "format": ("fmt", _config_format),
         "out": ("out", str),
         "truncation_dim": ("truncation_dim", int),
         "parallel": ("parallel", int),
-        "large": ("large", bool),
+        "large": ("large", _config_flag),
     }
     for key, (attr, conv) in mapping.items():
         if key in data and getattr(args, attr, None) in (None, False):
-            setattr(args, attr, conv(data[key]))
+            try:
+                setattr(args, attr, conv(data[key]))
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
+                parser.error(f"bad config value for {key!r}: {err}")
     return args
 
 
 def _emit(rows, header, args):
     text = rows_to_csv(rows, header) if args.fmt == "csv" else rows_to_json(rows, header)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write output: {err}") from err
     else:
         sys.stdout.write(text)
 

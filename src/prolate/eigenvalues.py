@@ -80,13 +80,15 @@ def lambda_quadrature(m: ProlateMode, rule=None) -> LogScaledReal:
     if rule is None:
         rule = gauss_legendre(math.ceil(m.c) + m.n + 30)
     grid = np.linspace(-1.0, 1.0, 257)
-    vals = psi_value(m, grid)
+    # one recurrence sweep over grid and nodes; psi_value treats each
+    # point on its own, so the values equal those of two separate calls
+    vals = psi_value(m, np.concatenate([grid, rule.nodes]))
+    vals, pt = vals[:grid.size], vals[grid.size:]
     i = int(np.argmax(np.abs(vals)))
     x_star, p_star = grid[i], vals[i]
     if abs(p_star) < 0.1:
         raise OracleUnreliable("eigenfunction below 0.1 at every grid point")
     t = rule.nodes
-    pt = psi_value(m, t)
     if m.parity == 0:
         integral = float(rule.weights @ (pt * np.cos(m.c * x_star * t)))
     else:

@@ -126,6 +126,11 @@ class QuadratureRule:
         return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
+# Newton converges quadratically from the Chebyshev guesses, so a step this
+# small leaves the node at its rounding floor.
+_NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps
+
+
 def _legendre_and_deriv(m, x):
     """P_m and P_m' on an array of points, by one recurrence sweep."""
     p_prev = np.ones_like(x)
@@ -140,8 +145,10 @@ def _legendre_and_deriv(m, x):
 def gauss_legendre(m: int) -> QuadratureRule:
     """m-point Gauss-Legendre rule, exact for polynomials of degree 2m-1.
 
-    Nodes by Newton iteration from Chebyshev initial guesses; the residual
-    |P_m(node)| is polished below 1e-15.
+    Nodes by Newton iteration from Chebyshev initial guesses, stopped once
+    the largest step is within a few ulps of 1.  The residual |P_m(node)|
+    is no stopping test: the recurrence evaluates P_m at a true root with
+    about m^1.5 eps of rounding noise, so it stalls above any fixed 1e-15.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("rule size must be a positive integer")
@@ -153,7 +160,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
         p, d = _legendre_and_deriv(m, x)
         dx = p / d
         x = x - dx
-        if np.max(np.abs(p)) < 1e-15:
+        if np.max(np.abs(dx)) <= _NEWTON_STEP_TOL:
             break
     p, d = _legendre_and_deriv(m, x)
     w = 2.0 / ((1.0 - x * x) * d * d)

@@ -113,3 +113,24 @@ def test_report_flags_and_columns():
     assert row2["log_zeta"] == ""            # below the band edge: no value
     assert "zeta" in row80["flags"]
     assert float(row80["log_zeta"]) > float(row80["log_abs_lambda"])
+
+
+def test_unwritable_output_is_config_error(tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli("report", "--c", "10", "--n", "2", "--out", str(target))
+    assert rc == 2
+    assert "configuration error" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("data", [{"truncation_dim": "abc"}, {"eps": "zzz"},
+                                  {"c_list": ["x"]}, {"format": "xml"},
+                                  {"large": "false"}, [10.0]])
+def test_bad_config_value_is_config_error(tmp_path, monkeypatch, data):
+    monkeypatch.setattr(cli, "experiment1",
+                        lambda cfg: pytest.fail("bad config value accepted"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "table1"])
+    assert exc.value.code == 2

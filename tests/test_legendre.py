@@ -119,7 +119,7 @@ def test_gauss_rule_small_cases():
 
 
 def test_gauss_rule_structure():
-    for m in (2, 5, 9, 40, 400):
+    for m in (2, 5, 9, 40, 400, 1100):
         rule = gauss_legendre(m)
         assert rule.size == m
         assert abs(rule.weights.sum() - 2.0) < 1e-13
@@ -154,3 +154,35 @@ def test_rule_is_immutable():
 def test_gauss_size_validation():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+@pytest.mark.parametrize("m", [300, 1100])
+def test_gauss_rule_large_m_accuracy(m):
+    # the in-house rule keeps ~1e-15 on a fast oscillation at large m, where
+    # library rules only reach ~1e-13; the quadrature oracle relies on this
+    rule = gauss_legendre(m)
+    exact = 2.0 * math.sin(500.0) / 500.0
+    assert abs(rule.integrate(lambda t: np.cos(500.0 * t)) - exact) < 1e-14
+
+
+def test_gauss_rule_odd_centre_node():
+    rule = gauss_legendre(1101)
+    assert abs(rule.nodes[550]) <= 1e-15
+
+
+def test_gauss_newton_stops_on_step_size(monkeypatch):
+    # the residual |P_m| stalls near m^1.5 eps, so only a step-size stop ends
+    # Newton after the few iterations quadratic convergence needs
+    from prolate import legendre
+    sweeps = []
+
+    def counting(m, x):
+        sweeps.append(m)
+        return real(m, x)
+
+    real = legendre._legendre_and_deriv
+    monkeypatch.setattr(legendre, "_legendre_and_deriv", counting)
+    for m in (60, 1100):
+        sweeps.clear()
+        legendre.gauss_legendre(m)
+        assert len(sweeps) <= 8

@@ -155,6 +155,16 @@ def test_psi_matches_stored_origin_values(ctx100):
     assert deriv == pytest.approx(m_odd.dpsi_at_zero, rel=1e-4)
 
 
+def test_psi_one_sweep_equals_two(ctx100):
+    # lambda_quadrature evaluates grid and nodes in one call
+    a = np.linspace(-1.0, 1.0, 257)
+    b = gauss_legendre(161).nodes
+    for n in (40, 63):
+        m = mode(ctx100, n)
+        joint = psi_value(m, np.concatenate([a, b]))
+        assert np.array_equal(joint, np.concatenate([psi_value(m, a), psi_value(m, b)]))
+
+
 def test_psi_domain_error(ctx10):
     with pytest.raises(ValueError):
         psi_value(mode(ctx10, 0), 1.0001)
