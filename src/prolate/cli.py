@@ -127,6 +127,13 @@ def _config_flag(v):
     return v
 
 
+def _config_int(v):
+    # int(2.9) is 2 and int(True) is 1, so only whole numbers may pass
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _apply_config(args, parser):
     if args.config is None:
         return args
@@ -142,8 +149,8 @@ def _apply_config(args, parser):
         "eps": ("eps", lambda v: _parse_eps_list(v if isinstance(v, str) else ",".join(map(str, v)))),
         "format": ("fmt", _config_format),
         "out": ("out", str),
-        "truncation_dim": ("truncation_dim", int),
-        "parallel": ("parallel", int),
+        "truncation_dim": ("truncation_dim", _config_int),
+        "parallel": ("parallel", _config_int),
         "large": ("large", _config_flag),
     }
     for key, (attr, conv) in mapping.items():

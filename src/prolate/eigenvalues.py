@@ -99,7 +99,7 @@ def lambda_quadrature(m: ProlateMode, rule=None) -> LogScaledReal:
 def _two_sided_profile(diag, offdiag, chi, dim):
     """Signed log profile of coefficient ratios against the leading entry.
 
-    Returns (signs, logs, mismatch): lists over block rows, plus the
+    Returns (signs, logs, mismatch): arrays over block rows, plus the
     forward/backward log-ratio discrepancy at the matching check.
     """
     d = (diag - chi).tolist()
@@ -121,15 +121,10 @@ def _two_sided_profile(diag, offdiag, chi, dim):
             shift += math.log(a)
         f_val[j + 1], f_off[j + 1] = x1, shift
 
-    def flog(v, o):
-        return math.log(abs(v)) + o if v != 0.0 else -math.inf
-
-    km = 0
-    best = -math.inf
-    for j in range(j_hi + 1):
-        lj = flog(f_val[j], f_off[j])
-        if lj > best:
-            best, km = lj, j
+    f_val = np.array(f_val)
+    with np.errstate(divide="ignore"):
+        f_logs = np.log(np.abs(f_val)) + f_off
+    km = int(np.argmax(f_logs[:j_hi + 1]))
 
     b_val = [0.0] * dim
     b_off = [0.0] * dim
@@ -145,6 +140,9 @@ def _two_sided_profile(diag, offdiag, chi, dim):
             shift += math.log(a)
         b_val[j], b_off[j] = y1, shift
 
+    def flog(v, o):
+        return math.log(abs(v)) + o if v != 0.0 else -math.inf
+
     if f_val[km] == 0.0 or b_val[km] == 0.0 or f_val[km + 1] == 0.0 or b_val[km + 1] == 0.0:
         raise MatchFailure("zero profile value at the matching index")
     r0 = flog(f_val[km], f_off[km]) - flog(b_val[km], b_off[km])
@@ -156,18 +154,11 @@ def _two_sided_profile(diag, offdiag, chi, dim):
         raise MatchFailure(
             f"forward/backward ratio mismatch {mismatch:.2e} at row {km}")
 
-    signs = [0] * dim
-    logs = [-math.inf] * dim
-    for j in range(km + 1):
-        v = f_val[j]
-        if v != 0.0:
-            signs[j] = 1 if v > 0 else -1
-            logs[j] = flog(v, f_off[j])
-    for j in range(km + 1, dim):
-        v = b_val[j]
-        if v != 0.0:
-            signs[j] = s0 * (1 if v > 0 else -1)
-            logs[j] = flog(v, b_off[j]) + r0
+    b_val = np.array(b_val[km + 1:])
+    signs = np.concatenate([np.sign(f_val[:km + 1]), s0 * np.sign(b_val)])
+    with np.errstate(divide="ignore"):
+        b_logs = np.log(np.abs(b_val)) + b_off[km + 1:] + r0
+    logs = np.concatenate([f_logs[:km + 1], b_logs])
     return signs, logs, mismatch
 
 
@@ -190,11 +181,7 @@ def lambda_log(ctx: ProlateContext, n: int) -> LogScaledReal:
             dim *= 2
             continue
         w = even_values_at_zero(dim) if parity == 0 else odd_derivs_at_zero(dim)
-        w_signs = np.sign(w).astype(int)
-        w_logs = np.log(np.abs(w))
-        total = signed_log_sum(
-            (s * ws for s, ws in zip(signs, w_signs)),
-            (l + wl for l, wl in zip(logs, w_logs)))
+        total = signed_log_sum(signs * np.sign(w), logs + np.log(np.abs(w)))
         if total.is_zero():
             raise ArithmeticError("series at the origin summed to zero")
         if parity == 0:

@@ -67,11 +67,7 @@ def normalized_legendre_at_zero(k: int) -> float:
     _check_degree(k)
     if k % 2 == 1:
         return 0.0
-    # P_{2m}(0) = (-1)^m (2m-1)!!/(2m)!! via the ratio chain
-    p = 1.0
-    for j in range(k // 2):
-        p *= -(2 * j + 1) / (2 * j + 2)
-    return p * math.sqrt(k + 0.5)
+    return float(even_values_at_zero(k // 2 + 1)[-1])
 
 
 def normalized_legendre_deriv_at_zero(k: int) -> float:
@@ -79,31 +75,32 @@ def normalized_legendre_deriv_at_zero(k: int) -> float:
     _check_degree(k)
     if k % 2 == 0:
         return 0.0
-    # P'_{2m+1}(0) = (-1)^m (2m+1)!!/(2m)!!
-    d = 1.0
-    for j in range((k - 1) // 2):
-        d *= -(2 * j + 3) / (2 * j + 2)
-    return d * math.sqrt(k + 0.5)
+    return float(odd_derivs_at_zero(k // 2 + 1)[-1])
+
+
+def _table_at_zero(count, parity):
+    # row j is degree 2j + parity, and row j + 1 is row j times
+    # -(2j + 1 + 2 parity)/(2j + 2); cumprod takes these products in order
+    j = np.arange(count)
+    chain = np.ones(count)
+    chain[1:] = -(2 * j[:-1] + 1 + 2 * parity) / (2 * j[:-1] + 2)
+    return np.cumprod(chain) * np.sqrt(2 * j + parity + 0.5)
 
 
 def even_values_at_zero(count: int) -> np.ndarray:
-    """Normalized values at 0 for degrees 0, 2, ..., 2*(count-1)."""
-    out = np.empty(count)
-    p = 1.0
-    for j in range(count):
-        out[j] = p * math.sqrt(2 * j + 0.5)
-        p *= -(2 * j + 1) / (2 * j + 2)
-    return out
+    """Normalized values at 0 for degrees 0, 2, ..., 2*(count-1).
+
+    P_{2m}(0) = (-1)^m (2m-1)!!/(2m)!!, built as a ratio chain.
+    """
+    return _table_at_zero(count, 0)
 
 
 def odd_derivs_at_zero(count: int) -> np.ndarray:
-    """Normalized derivatives at 0 for degrees 1, 3, ..., 2*count-1."""
-    out = np.empty(count)
-    d = 1.0
-    for j in range(count):
-        out[j] = d * math.sqrt(2 * j + 1.5)
-        d *= -(2 * j + 3) / (2 * j + 2)
-    return out
+    """Normalized derivatives at 0 for degrees 1, 3, ..., 2*count-1.
+
+    P'_{2m+1}(0) = (-1)^m (2m+1)!!/(2m)!!, built as a ratio chain.
+    """
+    return _table_at_zero(count, 1)
 
 
 @dataclass(frozen=True)

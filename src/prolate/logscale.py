@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LogScaledReal:
@@ -176,25 +178,30 @@ class LogScaledReal:
         return f"LogScaledReal({pre}exp({self.log_abs:.6g}))"
 
 
+def _as_array(values) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return values.astype(float, copy=False)
+    return np.fromiter(values, dtype=float)
+
+
 def signed_log_sum(signs, logs) -> LogScaledReal:
     """Sum of terms given as parallel sign / log-magnitude sequences.
 
-    Max-shift accumulation: terms more than ~745 below the peak underflow
-    to zero after shifting, which is harmless since they cannot affect the
+    Max-shift accumulation, m + log|sum s exp(l - m)| over the terms of
+    nonzero sign: terms more than ~745 below the peak m underflow to zero
+    after shifting, which is harmless since they cannot affect the
     double-precision sum.
     """
-    signs = list(signs)
-    logs = list(logs)
-    m = -math.inf
-    for s, l in zip(signs, logs):
-        if s != 0 and l > m:
-            m = l
+    signs = _as_array(signs)
+    logs = _as_array(logs)
+    live = signs != 0
+    signs, logs = signs[live], logs[live]
+    m = float(logs.max(initial=-math.inf))
     if m == -math.inf:
         return LogScaledReal.zero()
-    acc = 0.0
-    for s, l in zip(signs, logs):
-        if s != 0:
-            acc += s * math.exp(l - m)
+    # pairwise np.sum, not a BLAS dot whose blocking can vary with the
+    # thread count: the printed digits must not depend on the machine
+    acc = float(np.sum(signs * np.exp(logs - m)))
     if acc == 0.0:
         return LogScaledReal.zero()
     return LogScaledReal(1 if acc > 0 else -1, m + math.log(abs(acc)))

@@ -125,7 +125,10 @@ def test_unwritable_output_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("data", [{"truncation_dim": "abc"}, {"eps": "zzz"},
                                   {"c_list": ["x"]}, {"format": "xml"},
-                                  {"large": "false"}, [10.0]])
+                                  {"large": "false"}, [10.0],
+                                  {"truncation_dim": 2.9},
+                                  {"truncation_dim": True},
+                                  {"parallel": 1.5}])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, data):
     monkeypatch.setattr(cli, "experiment1",
                         lambda cfg: pytest.fail("bad config value accepted"))
@@ -134,3 +137,12 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, data):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--config", str(cfg), "table1"])
     assert exc.value.code == 2
+
+
+def test_integral_config_values_are_accepted(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"truncation_dim": 400.0, "parallel": "1"}))
+    parser = cli.build_parser()
+    args = cli._apply_config(
+        parser.parse_args(["--config", str(cfg), "table1"]), parser)
+    assert args.truncation_dim == 400 and args.parallel == 1

@@ -84,6 +84,34 @@ def test_log_route_deep_tail_thresholds(ctx100):
     assert n == 138
 
 
+# log|lambda_n| at c = 1e4 inside the experiment-3 window, as computed by
+# the scalar-loop log route before it was vectorised
+DEEP_TAIL_PINS = [
+    (6450, -50.44357897369934),
+    (6526, -100.50146900175542),
+    (6596, -150.18296603280345),
+]
+
+
+def test_log_route_deep_tail_pinned():
+    ctx = ProlateContext(1.0e4)
+    for n, log_ref in DEEP_TAIL_PINS:
+        assert lambda_log(ctx, n).log_abs == pytest.approx(log_ref, rel=1e-12)
+
+
+def test_two_sided_profile_arrays(ctx100):
+    n = 90
+    dim = ctx100.converged_dim(n)
+    band = build_matrix(100.0, 0, dim)
+    signs, logs, mismatch = _two_sided_profile(band.diag, band.offdiag,
+                                               ctx100.chi(n), dim)
+    assert signs.shape == logs.shape == (dim,)
+    assert signs[0] == 1.0 and logs[0] == 0.0     # ratios to the leading entry
+    assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
+    assert np.all((signs == 0) == np.isneginf(logs))
+    assert mismatch < 1e-3
+
+
 def test_two_sided_profile_rejects_non_eigenvalue(ctx10):
     # between two eigenvalues no minimal/dominant match can exist
     band = build_matrix(10.0, 0, 120)

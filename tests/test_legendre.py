@@ -102,11 +102,30 @@ def test_derivs_at_zero():
 
 
 def test_weight_tables_match_scalars():
-    ev = even_values_at_zero(6)
-    od = odd_derivs_at_zero(6)
-    for j in range(6):
-        assert ev[j] == pytest.approx(normalized_legendre_at_zero(2 * j), rel=1e-14)
-        assert od[j] == pytest.approx(normalized_legendre_deriv_at_zero(2 * j + 1), rel=1e-14)
+    # degrees up to 2e4; the scalars read the same ratio chain, so a
+    # table entry must not depend on the length of the table it is in
+    count = 10001
+    ev = even_values_at_zero(count)
+    od = odd_derivs_at_zero(count)
+    for j in [*range(6), *range(6, count, 97), count - 1]:
+        assert ev[j] == normalized_legendre_at_zero(2 * j)
+        assert od[j] == normalized_legendre_deriv_at_zero(2 * j + 1)
+
+
+def _ratio_loop(count, parity):
+    # one multiply per row, in order: the products cumprod must reproduce
+    out = np.empty(count)
+    p = 1.0
+    for j in range(count):
+        out[j] = p * math.sqrt(2 * j + parity + 0.5)
+        p *= -(2 * j + 1 + 2 * parity) / (2 * j + 2)
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 30000])
+def test_weight_tables_bitwise_equal_ratio_loop(count):
+    assert np.array_equal(even_values_at_zero(count), _ratio_loop(count, 0))
+    assert np.array_equal(odd_derivs_at_zero(count), _ratio_loop(count, 1))
 
 
 def test_gauss_rule_small_cases():

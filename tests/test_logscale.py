@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,3 +118,52 @@ def test_mixed_scalar_arithmetic():
     assert (1.0 / v).to_float() == pytest.approx(0.25)
     assert v.sqrt().to_float() == pytest.approx(2.0)
     assert v > 3.9999
+
+
+def test_signed_log_sum_accepts_arrays_and_generators():
+    xs = [3.5, -2.0, 1e-3, -7.25, 0.0, 4.0]
+    vals = [LogScaledReal.from_float(x) for x in xs]
+    signs = [v.sign for v in vals]
+    logs = [v.log_abs for v in vals]
+    from_lists = signed_log_sum(signs, logs)
+    from_arrays = signed_log_sum(np.array(signs), np.array(logs))
+    from_gens = signed_log_sum((s for s in signs), (l for l in logs))
+    assert from_lists == from_arrays == from_gens
+    assert from_lists.to_float() == pytest.approx(math.fsum(xs), rel=1e-14)
+
+
+def test_signed_log_sum_ignores_zero_signs_and_neg_inf_logs():
+    # a zero-sign term must not set the shift, whatever its log says
+    total = signed_log_sum([1, 0, -1, 1, 0, -1],
+                           [2.0, 5000.0, 1.0, -math.inf, -math.inf, -math.inf])
+    assert total.sign == 1
+    assert total.to_float() == pytest.approx(math.exp(2.0) - math.exp(1.0), rel=1e-14)
+
+
+def test_signed_log_sum_far_terms_underflow_harmlessly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = signed_log_sum([1, 1, -1], [1000.0, 200.0, 0.0])
+        deep = signed_log_sum([-1, 1], [-5000.0, -5800.0])
+    assert total == LogScaledReal(1, 1000.0)
+    assert deep == LogScaledReal(-1, -5000.0)
+
+
+def test_signed_log_sum_exact_cancellation_is_zero():
+    assert signed_log_sum([1, -1, 1, -1], [3.0, 3.0, -2.0, -2.0]).is_zero()
+
+
+def test_signed_log_sum_without_live_terms_is_zero():
+    assert signed_log_sum([0, 0, 0], [1.0, 2.0, 3.0]).is_zero()
+    assert signed_log_sum([], []).is_zero()
+    assert signed_log_sum([1, -1], [-math.inf, -math.inf]).is_zero()
+
+
+def test_signed_log_sum_long_mixed_input_matches_fsum():
+    rng = np.random.default_rng(20000)
+    xs = rng.standard_normal(20000) * np.exp(rng.uniform(-30.0, 30.0, 20000))
+    total = signed_log_sum(np.sign(xs), np.log(np.abs(xs)))
+    expect = math.fsum(xs.tolist())
+    assert total.sign == (1 if expect > 0 else -1)
+    # a log difference d is a relative difference of about d in the value
+    assert abs(total.log_abs - math.log(abs(expect))) < 1e-12
