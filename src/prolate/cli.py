@@ -78,7 +78,8 @@ def _add_common(sub):
                      help="include c = 1e5 (multi-minute budget)")
     sub.add_argument("--parallel", type=int, default=None, metavar="N")
     sub.add_argument("--truncation-dim", type=int, default=None, metavar="N",
-                     help="pin the matrix dimension instead of auto-doubling")
+                     help="pin the matrix dimension (2 to 1048576) instead of "
+                          "sizing it from the coefficient decay")
 
 
 def build_parser():

@@ -5,8 +5,11 @@ matrix coupling only degrees of equal parity, so each parity class gives a
 tridiagonal block.  Selected eigenvalues come from bisection with Sturm
 counts and eigenvectors from inverse iteration (LAPACK stebz/stein through
 scipy), which keeps the cost O(dim) per mode and reaches c = 1e5 at desk
-scale.  Truncation is never trusted blindly: the dimension is doubled until
-the eigenvalue is stable and the coefficient tail has died off.
+scale.  Truncation is never trusted blindly: the dimension is estimated
+from a bound on the coefficient decay, and a solve is accepted only when
+its coefficient tail has died off and the residual of its eigenvector in
+the infinite operator is within the eigenvalue tolerance; otherwise the
+dimension is doubled.
 """
 
 from __future__ import annotations
@@ -26,13 +29,22 @@ CACHE_ENV_VAR = "PROLATE_CACHE_DIR"
 _CACHE_FORMAT = "prolate-spectrum-cache"
 _CACHE_VERSION = 1
 
-CHI_RTOL = 1e-10       # eigenvalue stability under dimension doubling
+CHI_RTOL = 1e-10       # eigenvalue accuracy, relative
 TAIL_RTOL = 1e-20      # trailing coefficient magnitude, relative to the peak
-_MAX_DOUBLINGS = 8
+# slack, in log units, between the decay bound of the dimension estimate
+# and log(TAIL_RTOL), for rounding in the computed eigenvector
+_ESTIMATE_MARGIN = math.log(1e3)
+# Largest block dimension any solve may use.  A mode plus its log-route
+# eigenvalue grows the resident memory by about 450 bytes per row (measured
+# at 1e5 and 4e5 rows; the Python lists of the two-sided recurrence take
+# the most), so the cap stands for about 0.5 GB.  c = 1e5 needs about 6e4
+# rows at the top of its decay window.
+_MAX_ROWS = 1 << 20
+_EPS = np.finfo(float).eps
 
 
 class TruncationNotConverged(RuntimeError):
-    """Doubling the matrix dimension kept moving the requested quantity."""
+    """No admissible matrix dimension resolved the requested quantity."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,12 @@ def build_matrix(c: float, parity: int, dim: int) -> MatrixBand:
     return MatrixBand(float(c), parity, diag, offdiag)
 
 
+def _noise(band: MatrixBand) -> float:
+    """Bisection resolves eigenvalues to a few ulps of the matrix norm."""
+    return 32.0 * _EPS * (float(np.max(np.abs(band.diag)))
+                          + 2.0 * float(np.max(band.offdiag, initial=0.0)))
+
+
 @dataclass(frozen=True)
 class ProlateMode:
     """One eigenfunction: index, operator eigenvalue, and basis coefficients.
@@ -110,11 +128,15 @@ class ProlateMode:
 class ProlateContext:
     """A band limit plus truncation policy, owning cached spectral data.
 
-    The default policy starts each parity block at ceil(n/2) + ceil(c) + 64
-    coefficients and doubles until the eigenvalue moves less than CHI_RTOL
-    and the coefficient tail is below TAIL_RTOL of the peak.  Passing
-    truncation_dim pins the dimension instead; the tail check still runs
-    and failure raises TruncationNotConverged.
+    The default policy sizes each parity block from a bound on the
+    coefficient decay (see _start_dim) and solves once.  The solve is
+    accepted when the coefficient tail is below TAIL_RTOL of the peak and
+    the eigenvector, padded with zeros, leaves a residual in the infinite
+    operator within CHI_RTOL of the eigenvalue (so the infinite operator
+    has an eigenvalue that close); otherwise the dimension is doubled, up
+    to _MAX_ROWS rows.  Passing truncation_dim (2 to _MAX_ROWS) pins the
+    dimension instead; the tail check still runs and failure raises
+    TruncationNotConverged.
 
     Cached entries are inserted under a lock, one key at a time, so
     concurrent lookups for distinct n are safe.  If the environment
@@ -127,6 +149,9 @@ class ProlateContext:
                  cache_dir: str | None = None):
         if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
             raise ValueError("band limit c must be a positive finite number")
+        if truncation_dim is not None and not 2 <= truncation_dim <= _MAX_ROWS:
+            raise ValueError(
+                f"truncation dimension must lie in [2, {_MAX_ROWS}], got {truncation_dim}")
         self.c = float(c)
         self.truncation_dim = truncation_dim
         self.chi_rtol = chi_rtol
@@ -176,22 +201,56 @@ class ProlateContext:
 
     # -- solves ------------------------------------------------------------
 
-    def _initial_dim(self, n: int) -> int:
-        return n // 2 + math.ceil(self.c) + 64
+    def _capped(self, dim: int, n: int) -> int:
+        """dim itself, unless it passes the row cap."""
+        if dim > _MAX_ROWS:
+            raise TruncationNotConverged(
+                f"c={self.c}, n={n} needs more than the row cap of "
+                f"{_MAX_ROWS} matrix rows (_MAX_ROWS)")
+        return dim
 
-    def _eig(self, n: int, dim: int, want_vector: bool):
-        band = build_matrix(self.c, n % 2, dim)
+    def _start_dim(self, n: int) -> int:
+        """Block dimension past which mode n's coefficients are dead.
+
+        Past the rows where the diagonal outgrows chi_n and the couplings,
+        the decaying solution of the three-term recurrence satisfies
+        |v_{j+1} / v_j| <= e_j / (d_{j+1} - chi - e_{j+1}) < 1, and the
+        min-max bound chi_n <= n(n+1) + c^2 (from c^2 x^2 <= c^2) keeps
+        this true with chi replaced by that bound.  The log-ratios are
+        summed from the first row of that region until they fall below
+        log(tail_rtol) minus _ESTIMATE_MARGIN, and four dead rows are kept
+        for the tail check.
+        """
+        parity = n % 2
+        chi_hi = n * (n + 1.0) + self.c * self.c
+        target = math.log(self.tail_rtol) - _ESTIMATE_MARGIN
+        size = min(n // 2 + math.ceil(self.c) + 64, _MAX_ROWS)
+        while True:
+            band = build_matrix(self.c, parity, size)
+            e = band.offdiag
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.log(e[:-1] / (band.diag[1:-1] - chi_hi - e[1:]))
+            # NaN (non-positive gap) and non-negative steps: not yet decaying
+            growing = np.flatnonzero(~(steps < 0.0))
+            j0 = int(growing[-1]) + 1 if growing.size else 0
+            dead = np.flatnonzero(np.cumsum(steps[j0:]) < target)
+            if dead.size:
+                # the bound at dead[0] covers row j0 + dead[0] + 1 and beyond;
+                # rows up to n // 2 have d_j < chi_hi, so j0 >= n // 2
+                return self._capped(j0 + int(dead[0]) + 5, n)
+            size = self._capped(2 * size, n)
+
+    def _eig(self, n: int, dim: int):
+        """chi_n and eigenvector of the dim-row block, with the residual of
+        the zero-padded vector in the infinite operator and the noise level."""
+        # one row more than the block: its coupling to the last row of the
+        # block is the residual's only entry
+        band = build_matrix(self.c, n % 2, dim + 1)
         idx = n // 2
-        # bisection resolves eigenvalues to a few ulps of the matrix norm
-        noise = 32.0 * np.finfo(float).eps * (
-            float(np.max(np.abs(band.diag))) + 2.0 * float(np.max(band.offdiag, initial=0.0)))
-        if want_vector:
-            vals, vecs = eigh_tridiagonal(band.diag, band.offdiag,
-                                          select="i", select_range=(idx, idx))
-            return float(vals[0]), vecs[:, 0], noise
-        vals = eigh_tridiagonal(band.diag, band.offdiag, select="i",
-                                select_range=(idx, idx), eigvals_only=True)
-        return float(vals[0]), None, noise
+        vals, vecs = eigh_tridiagonal(band.diag[:-1], band.offdiag[:-1],
+                                      select="i", select_range=(idx, idx))
+        vec = vecs[:, 0]
+        return float(vals[0]), vec, abs(band.offdiag[-1] * vec[-1]), _noise(band)
 
     @staticmethod
     def _tail_ok(vec: np.ndarray, tail_rtol: float) -> bool:
@@ -200,28 +259,23 @@ class ProlateContext:
 
     def _converged_solve(self, n: int, want_vector: bool):
         if self.truncation_dim is not None:
-            dim = max(self.truncation_dim, n // 2 + 2)
-            chi_val, vec, _ = self._eig(n, dim, True)
+            dim = self._capped(max(self.truncation_dim, n // 2 + 2), n)
+            chi_val, vec, _, _ = self._eig(n, dim)
             if not self._tail_ok(vec, self.tail_rtol):
                 raise TruncationNotConverged(
                     f"fixed dimension {dim} leaves a live coefficient tail "
                     f"for c={self.c}, n={n}")
             return chi_val, (vec if want_vector else None), dim
-        dim = self._initial_dim(n)
-        prev = None
-        for _ in range(_MAX_DOUBLINGS):
-            chi_val, vec, noise = self._eig(n, dim, True)
-            stable = prev is not None and abs(chi_val - prev) <= self.chi_rtol * abs(chi_val) + noise
-            if stable and self._tail_ok(vec, self.tail_rtol):
+        dim = self._start_dim(n)
+        while True:
+            chi_val, vec, resid, noise = self._eig(n, dim)
+            if (self._tail_ok(vec, self.tail_rtol)
+                    and resid <= self.chi_rtol * abs(chi_val) + noise):
                 return chi_val, (vec if want_vector else None), dim
-            prev = chi_val
-            dim *= 2
-        raise TruncationNotConverged(
-            f"eigenvalue for c={self.c}, n={n} kept moving after "
-            f"{_MAX_DOUBLINGS} dimension doublings")
+            dim = self._capped(2 * dim, n)
 
     def chi(self, n: int) -> float:
-        """Operator eigenvalue chi_n, stable under truncation doubling."""
+        """Operator eigenvalue chi_n at the converged truncation."""
         if n < 0:
             raise ValueError("mode index must be non-negative")
         with self._lock:
@@ -256,7 +310,7 @@ class ProlateContext:
             hit = self._chi.get(n)
         if hit is not None:
             chi_val, dim = hit
-            _, vec, _ = self._eig(n, dim, True)
+            _, vec, _, _ = self._eig(n, dim)
         else:
             chi_val, vec, dim = self._converged_solve(n, want_vector=True)
         vec = vec / np.linalg.norm(vec)
@@ -283,21 +337,19 @@ class ProlateContext:
             if top < parity:
                 continue
             hi = top // 2
-            dim = self._initial_dim(top)
+            # no vectors here, so the check is the eigenvalues' stability
+            # under one doubling
+            dim = self._start_dim(top)
             prev = None
-            for _ in range(_MAX_DOUBLINGS):
+            while True:
                 band = build_matrix(self.c, parity, dim)
                 vals = eigh_tridiagonal(band.diag, band.offdiag, select="i",
                                         select_range=(0, hi), eigvals_only=True)
-                noise = 32.0 * np.finfo(float).eps * (
-                    float(np.max(np.abs(band.diag))) + 2.0 * float(np.max(band.offdiag, initial=0.0)))
-                if prev is not None and np.all(np.abs(vals - prev) <= self.chi_rtol * np.abs(vals) + noise):
+                if prev is not None and np.all(np.abs(vals - prev)
+                                               <= self.chi_rtol * np.abs(vals) + _noise(band)):
                     break
                 prev = vals
-                dim *= 2
-            else:
-                raise TruncationNotConverged(
-                    f"block eigenvalues for c={self.c} did not settle")
+                dim = self._capped(2 * dim, top)
             out[parity:top + 1:2] = vals
         return out
 

@@ -13,6 +13,12 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _assert_config_error(rc, out, err):
+    assert rc == 2
+    assert "configuration error" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_table1_csv_contract():
     rc, out, _ = run_cli("table1", "--c", "10")
     assert rc == 0
@@ -93,6 +99,17 @@ def test_nonconvergence_exit_code():
     assert "non-convergence" in err
 
 
+@pytest.mark.parametrize("dim", ["0", "-5"])
+def test_non_positive_pinned_dimension_is_config_error(dim):
+    _assert_config_error(*run_cli("table1", "--c", "10", "--truncation-dim", dim))
+
+
+def test_non_positive_pinned_dimension_in_config_is_config_error(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"truncation_dim": -5}))
+    _assert_config_error(*run_cli("--config", str(cfg), "table1", "--c", "10"))
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"c_list": [10.0], "format": "json"}))
@@ -117,10 +134,7 @@ def test_report_flags_and_columns():
 
 def test_unwritable_output_is_config_error(tmp_path):
     target = tmp_path / "missing" / "x.csv"
-    rc, out, err = run_cli("report", "--c", "10", "--n", "2", "--out", str(target))
-    assert rc == 2
-    assert "configuration error" in err and "Traceback" not in err
-    assert out == ""
+    _assert_config_error(*run_cli("report", "--c", "10", "--n", "2", "--out", str(target)))
 
 
 @pytest.mark.parametrize("data", [{"truncation_dim": "abc"}, {"eps": "zzz"},

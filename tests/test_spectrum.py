@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import prolate.spectrum as spectrum
 from prolate import (ProlateContext, TruncationNotConverged, build_matrix,
-                     chi, gauss_legendre, mode, psi_value)
+                     chi, gauss_legendre, lambda_log, mode, psi_value)
 from prolate.spectrum import CACHE_ENV_VAR
 
 
@@ -177,12 +178,97 @@ def test_index_validation(ctx10):
         ProlateContext(0.0)
     with pytest.raises(ValueError):
         ProlateContext(float("nan"))
+    for dim in (0, 1, -5, spectrum._MAX_ROWS + 1):
+        with pytest.raises(ValueError):
+            ProlateContext(10.0, truncation_dim=dim)
 
 
 def test_fixed_truncation_failure():
     ctx = ProlateContext(100.0, truncation_dim=40)
     with pytest.raises(TruncationNotConverged):
         ctx.mode(20)
+
+
+def _live_rows(m):
+    mags = np.abs(m.coeffs)
+    return int(np.flatnonzero(mags >= spectrum.TAIL_RTOL * mags.max())[-1]) + 1
+
+
+@pytest.mark.parametrize("c", [10.0, 100.0, 1000.0, 1.0e4])
+def test_estimate_covers_live_tail(c):
+    # the reference is pinned at twice the estimate, so its tail does not
+    # depend on the estimate; the four rows the tail check reads are dead
+    edge = int(2.0 * c / math.pi)
+    ns = {0, 1, int(c / math.pi), edge, edge + 1,
+          int(edge + 10.0 * math.log(c)), int(edge + 20.0 * math.log(c)) + 1}
+    ctx = ProlateContext(c)
+    for n in sorted(ns):
+        est = ctx._start_dim(n)
+        ref = ProlateContext(c, truncation_dim=2 * est).mode(n)
+        assert _live_rows(ref) <= est - 4, (c, n)
+
+
+def test_fresh_mode_costs_one_solve(monkeypatch):
+    calls = []
+    real = spectrum.eigh_tridiagonal
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal",
+                        lambda *a, **k: calls.append(len(a[0])) or real(*a, **k))
+    for c, n in ((10.0, 7), (100.0, 64), (100.0, 101), (1000.0, 780), (1.0e4, 6596)):
+        ctx = ProlateContext(c)
+        calls.clear()
+        ctx.mode(n)
+        assert len(calls) == 1, (c, n, calls)
+        calls.clear()
+        ProlateContext(c).chi(n + 1)
+        assert len(calls) == 1, (c, n + 1, calls)
+
+
+def test_poor_estimate_converges_by_doubling(monkeypatch):
+    cases = ((100.0, 64), (100.0, 101), (1000.0, 780))
+    good = [(ProlateContext(c).chi(n), lambda_log(ProlateContext(c), n).log_abs)
+            for c, n in cases]
+    monkeypatch.setattr(ProlateContext, "_start_dim", lambda self, n: n // 2 + 2)
+    for (c, n), (chi_ref, log_ref) in zip(cases, good):
+        ctx = ProlateContext(c)
+        assert ctx.chi(n) == pytest.approx(chi_ref, rel=1e-12)
+        assert ctx.converged_dim(n) > n // 2 + 2
+        assert lambda_log(ctx, n).log_abs == pytest.approx(log_ref, rel=1e-12)
+
+
+def test_residual_check_alone_resolves_chi(monkeypatch):
+    # a tail tolerance of 1 accepts any tail, so only the residual of the
+    # zero-padded eigenvector stands between a too-small block and chi
+    monkeypatch.setattr(ProlateContext, "_start_dim", lambda self, n: n // 2 + 2)
+    for c, n in ((100.0, 64), (1000.0, 700)):
+        ref = ProlateContext(c, truncation_dim=1000).chi(n)
+        assert ProlateContext(c, tail_rtol=1.0).chi(n) == pytest.approx(
+            ref, rel=spectrum.CHI_RTOL)
+
+
+def test_log_route_at_converged_dim_matches_wider_block():
+    # independent of the estimate: a block four times the converged one
+    c, n = 1.0e4, 6596
+    ctx = ProlateContext(c)
+    dim = ctx.converged_dim(n)
+    wide = ProlateContext(c, truncation_dim=4 * dim)
+    assert lambda_log(ctx, n).log_abs == pytest.approx(lambda_log(wide, n).log_abs,
+                                                      rel=1e-12)
+
+
+def test_row_cap_raises_truncation_error(monkeypatch):
+    # the estimate alone passes the cap
+    monkeypatch.setattr(spectrum, "_MAX_ROWS", 64)
+    with pytest.raises(TruncationNotConverged, match="row cap"):
+        ProlateContext(100.0).chi(20)
+    with pytest.raises(TruncationNotConverged, match="row cap"):
+        ProlateContext(100.0).chi_many(20)
+    # a doubling passes the cap
+    monkeypatch.setattr(spectrum, "_MAX_ROWS", 40)
+    monkeypatch.setattr(ProlateContext, "_start_dim", lambda self, n: n // 2 + 2)
+    with pytest.raises(TruncationNotConverged, match="row cap"):
+        ProlateContext(100.0).mode(20)
+    with pytest.raises(TruncationNotConverged, match="row cap"):
+        ProlateContext(100.0).chi_many(20)
 
 
 def test_chi_stability_under_explicit_doubling(ctx100):
