@@ -2,8 +2,10 @@
 
 Subcommands: table1, table2, figures, experiment3, verify, report.
 Exit codes: 0 all good, 1 verification failure, 2 configuration error,
-3 numerical non-convergence.  Output is CSV (header row always present)
-or JSON, to stdout or --out, and is byte-stable for a fixed configuration.
+3 numerical non-convergence, 4 any other error (an exception no handler
+expects, reported on one stderr line instead of a traceback).  Output is
+CSV (header row always present) or JSON, to stdout or --out, and is
+byte-stable for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import traceback
 
 from .bounds import bound_report
 from .eigenvalues import MatchFailure
@@ -265,6 +269,13 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        # the command boundary: no traceback, but name where it was raised
+        where = traceback.extract_tb(err.__traceback__)[-1]
+        print(f"internal error: {type(err).__name__}: {err} "
+              f"(in {where.name}, {os.path.basename(where.filename)}:{where.lineno})",
+              file=sys.stderr)
+        return 4
     return 0
 
 

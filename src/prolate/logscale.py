@@ -22,6 +22,17 @@ class LogScaledReal:
 
     Exact zero is (sign=0, log_abs=-inf).  Construct with from_float /
     from_log rather than the raw constructor.
+
+    Accuracy contract: log|x| is held to one ulp, so x itself is held to
+    about eps * |log x| relative (eps = 2^-52).  A sum a + b of values
+    from from_float, read back with to_float, lies within
+    9 eps (|a| + |b|) (1 + |log max(|a|, |b|)|) of the exact sum (plus the
+    spacing of subnormal doubles): the two operand logs give at most
+    4 u (|a| + |b|)(1 + |log max|) with u = eps / 2, and the shift, exp,
+    log1p, the final add and to_float's exp together at most 13 u times
+    the same.  The bound is absolute in the operands, not relative to the
+    result: a sum that cancels keeps the operands' error, so its relative
+    error grows with the cancellation.
     """
 
     sign: int
@@ -176,6 +187,26 @@ class LogScaledReal:
             return "LogScaledReal(0)"
         pre = "-" if self.sign < 0 else "+"
         return f"LogScaledReal({pre}exp({self.log_abs:.6g}))"
+
+
+class LogScaledArray:
+    """A sequence of reals held as parallel sign and log|value| arrays.
+
+    Indexing returns a LogScaledReal, so the arrays stand in for a list of
+    them; entries of sign 0 read as exact zero, whatever their log.
+    """
+
+    __slots__ = ("signs", "logs")
+
+    def __init__(self, signs, logs):
+        self.signs = np.asarray(signs, dtype=float)
+        self.logs = np.asarray(logs, dtype=float)
+
+    def __len__(self) -> int:
+        return self.logs.size
+
+    def __getitem__(self, k) -> LogScaledReal:
+        return LogScaledReal.from_log(float(self.logs[k]), int(self.signs[k]))
 
 
 def _as_array(values) -> np.ndarray:

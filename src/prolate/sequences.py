@@ -6,11 +6,17 @@ rescaling), beta_new (a minorant with the same head), gamma (a second
 rescaling whose recurrence has constant trailing coefficient 1), the
 consecutive-ratio sequence r, and its closed-form minorant sigma.  Each
 monotonicity or domination statement about these sequences is executable,
-so this module materializes them all, in log-scaled arithmetic because
-gamma spans hundreds of orders of magnitude by the turning index.
+so this module materializes them all.  gamma spans hundreds of orders of
+magnitude by the turning index, so the three-term recurrences run in
+plain floats rescaled by exact powers of two, and each sequence is kept
+as a sign array and a log-magnitude array.
 
 Rational coefficients are evaluated exactly as written (not pre-simplified)
-to keep the code auditable against their defining formulas.
+to keep the code auditable against their defining formulas.  The families
+the trace uses accept an integer k or a float array of k; numpy's
+elementwise arithmetic and square root are correctly rounded, so while
+the integer products in a formula stay below 2^53 (k up to about 4000)
+an array holds exactly the values of the scalar calls.
 """
 
 from __future__ import annotations
@@ -18,21 +24,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import k0 as turning_index
 from .elliptic import exponent_term
-from .logscale import LogScaledReal
+from .logscale import LogScaledArray, LogScaledReal
+
+# a running value is rescaled by a power of two once it leaves this range,
+# far enough inside double range that a step with coefficients up to 2^760
+# cannot overflow; that needs chi / c^2 above 1e228, where the gamma heads
+# already overflow
+_HUGE = 2.0 ** 256
+_TINY = 2.0 ** -256
+_LN2 = math.log(2.0)
 
 
-# -- scalar coefficient families (k is the 1-based sequence index) ----------
+# -- coefficient families (k is the 1-based sequence index) ------------------
 
 def big_a(k: int) -> float:
     return (k * (2 * k - 1) * (4 * k + 3)) / ((k + 1) * (2 * k + 1) * (4 * k - 1)) \
-        * math.sqrt((4 * k + 5) / (4 * k - 3))
+        * np.sqrt((4 * k + 5) / (4 * k - 3))
 
 
 def big_b(k: int, c: float, chi: float) -> float:
     c2 = c * c
-    root = math.sqrt((4 * k + 1) * (4 * k + 5))
+    root = np.sqrt((4 * k + 1) * (4 * k + 5))
     return ((chi - 2 * k * (2 * k + 1)) / c2) * (4 * k + 3) * root / ((2 * k + 1) * (2 * k + 2)) \
         - (4 * k * (2 * k + 1) - 1) * root / ((4 * k - 1) * (2 * k + 1) * (2 * k + 2))
 
@@ -80,13 +96,50 @@ def g_n_value(c: float, chi: float, x: float) -> float:
     return u + math.sqrt(max(u * u - 1.0, 0.0))
 
 
+def _scaled_recurrence(heads, head_exps, p, q, size: int):
+    """Entries 1, 2, ... of x_{j+2} = p_j x_{j+1} + q_j x_j, cut to size.
+
+    Entry j is vals[j] * 2^exps[j].  The heads (with their exponents) are
+    the first entries and the recurrence runs from the last two of them.
+    Before each step the running pair is rescaled by a power of two
+    (exact, by ldexp) if |x| has left [2^-256, 2^256], and each entry
+    keeps the exponent removed so far.  Entry 0 is a placeholder holding
+    zero.
+    """
+    vals = [0.0, *heads]
+    exps = [0, *head_exps]
+    shift = exps[-1]
+    x0, x1 = math.ldexp(vals[-2], exps[-2] - shift), vals[-1]
+    for pj, qj in zip(p.tolist(), q.tolist()):
+        a = abs(x1)
+        if a > _HUGE or 0.0 < a < _TINY:
+            e = math.frexp(x1)[1]
+            x0, x1 = math.ldexp(x0, -e), math.ldexp(x1, -e)
+            shift += e
+        x0, x1 = x1, pj * x1 + qj * x0
+        vals.append(x1)
+        exps.append(shift)
+    return np.array(vals[:size]), np.array(exps[:size])
+
+
+def _log_scaled(vals, exps) -> LogScaledArray:
+    """vals * 2^exps as signs and logs; the placeholder entry 0 reads as zero."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(vals)) + _LN2 * exps
+    logs[0] = np.nan
+    return LogScaledArray(np.sign(vals), logs)
+
+
 @dataclass(frozen=True)
 class SequenceTrace:
     """Materialized sequences for one (c, n, chi); index k addresses entry [k].
 
-    alpha/beta/beta_new/gamma are lists of LogScaledReal with [0] unused;
-    r[k] = gamma_{k+1}/gamma_k and sigma[k] are plain floats (sigma is NaN
-    where its discriminant goes negative, past the turning region).
+    alpha/beta/beta_new/gamma are LogScaledArray (sign and log arrays)
+    whose entry [k] reads as a LogScaledReal; [0] is unused and reads as
+    zero.  r[k] = gamma_{k+1}/gamma_k and sigma[k] are float arrays with
+    NaN at index 0; r is NaN at index K and wherever gamma_k is zero, and
+    sigma is NaN where its discriminant goes negative, past the turning
+    region.
     """
 
     c: float
@@ -94,12 +147,12 @@ class SequenceTrace:
     chi: float
     k0: int
     K: int
-    alpha: list
-    beta: list
-    beta_new: list
-    gamma: list
-    r: list
-    sigma: list
+    alpha: LogScaledArray
+    beta: LogScaledArray
+    beta_new: LogScaledArray
+    gamma: LogScaledArray
+    r: np.ndarray
+    sigma: np.ndarray
 
 
 def trace(c: float, n: int, chi: float, K: int | None = None) -> SequenceTrace:
@@ -112,54 +165,48 @@ def trace(c: float, n: int, chi: float, K: int | None = None) -> SequenceTrace:
     if K < k_turn + 2:
         raise ValueError("K must reach at least the turning index + 2")
 
-    one = LogScaledReal.one()
-    alpha = [None] * (K + 1)
-    alpha[1] = one
-    if K >= 2:
-        alpha[2] = LogScaledReal.from_float(big_b(0, c, chi))
-    for k in range(1, K - 1):
-        alpha[k + 2] = big_b(k, c, chi) * alpha[k + 1] - big_a(k) * alpha[k]
+    k = np.arange(1.0, K + 1.0)          # k[j] = j + 1
+    size = K + 1
 
-    beta = [None] * (K + 1)
-    for k in range(1, K + 1):
-        beta[k] = alpha[k] * math.sqrt(2.0 / (4 * k - 3))
+    # alpha_{k+2} = B_k alpha_{k+1} - A_k alpha_k for k = 1 .. K-2
+    ka = k[:K - 2]
+    alpha_vals, exps = _scaled_recurrence([1.0, float(big_b(0, c, chi))], [0, 0],
+                                          big_b(ka, c, chi), -big_a(ka), size)
+    beta_vals = alpha_vals * np.concatenate([[0.0], np.sqrt(2.0 / (4 * k - 3))])
 
-    beta_new = [None] * (K + 1)
-    for k in range(1, min(3, K) + 1):
-        beta_new[k] = beta[k]
-    for k in range(2, K - 1):
-        step = beta_new[k + 1] - beta_new[k]
-        beta_new[k + 2] = (b_chi(k, c, chi) + 1.0) * beta_new[k + 1] + a_new(k) * step
+    # beta_new_{k+2} = (b_chi_k + 1) beta_new_{k+1}
+    #                  + a_new_k (beta_new_{k+1} - beta_new_k),  k = 2 .. K-2,
+    # as p x_{k+1} + q x_k with p = b_chi_k + 1 + a_new_k, q = -a_new_k;
+    # it shares its first three entries with beta
+    kb = k[1:K - 2]
+    a_k = a_new(kb)
+    beta_new = _log_scaled(*_scaled_recurrence(
+        beta_vals[1:4].tolist(), exps[1:4].tolist(),
+        b_chi(kb, c, chi) + 1.0 + a_k, -a_k, size))
 
+    # gamma_{k+2} = (b_one_k + b_two_k) gamma_{k+1} - gamma_k, k = 2 .. K-2
     v2 = (chi - c * c) / (c * c)
-    gamma = [None] * (K + 1)
-    gamma[1] = LogScaledReal.from_float(math.sqrt(2.0))
-    if K >= 2:
-        gamma[2] = LogScaledReal.from_float(
-            8.0 / (7.0 * math.sqrt(2.0)) * (2.0 + 3.0 * v2))
-    if K >= 3:
-        gamma[3] = LogScaledReal.from_float(
-            16.0 * math.sqrt(2.0) / 11.0
-            * (3.0 + 15.0 * v2
-               + (105.0 / 8.0) * v2 * (chi - c * c - 6.0) / (c * c)
-               - 105.0 / (2.0 * c * c)))
-    for k in range(2, K - 1):
-        gamma[k + 2] = (b_one(k, c, chi) + b_two(k)) * gamma[k + 1] - gamma[k]
+    heads = [math.sqrt(2.0),
+             8.0 / (7.0 * math.sqrt(2.0)) * (2.0 + 3.0 * v2),
+             16.0 * math.sqrt(2.0) / 11.0
+             * (3.0 + 15.0 * v2
+                + (105.0 / 8.0) * v2 * (chi - c * c - 6.0) / (c * c)
+                - 105.0 / (2.0 * c * c))]
+    b12 = b_one(k, c, chi) + b_two(k)
+    gamma = _log_scaled(*_scaled_recurrence(
+        heads, [0] * len(heads), b12[1:K - 2], np.full(max(K - 3, 0), -1.0), size))
 
-    r = [None] * (K + 1)
-    for k in range(1, K):
-        if gamma[k].is_zero():
-            r[k] = math.nan
-        else:
-            r[k] = gamma[k + 1].sign * gamma[k].sign \
-                * math.exp(gamma[k + 1].log_abs - gamma[k].log_abs)
+    half = 0.5 * b12
+    with np.errstate(invalid="ignore"):
+        r = np.where(gamma.signs[1:K] != 0,
+                     gamma.signs[2:] * gamma.signs[1:K]
+                     * np.exp(gamma.logs[2:] - gamma.logs[1:K]), np.nan)
+        sigma = np.where(half >= 1.0, half + np.sqrt(half * half - 1.0), np.nan)
+    r = np.concatenate([[np.nan], r, [np.nan]])
+    sigma = np.concatenate([[np.nan], sigma])
 
-    sigma = [None] * (K + 1)
-    for k in range(1, K + 1):
-        half = 0.5 * (b_one(k, c, chi) + b_two(k))
-        sigma[k] = half + math.sqrt(half * half - 1.0) if half >= 1.0 else math.nan
-
-    return SequenceTrace(c, n, chi, k_turn, K, alpha, beta, beta_new, gamma, r, sigma)
+    return SequenceTrace(c, n, chi, k_turn, K, _log_scaled(alpha_vals, exps),
+                         _log_scaled(beta_vals, exps), beta_new, gamma, r, sigma)
 
 
 def product_lower_bound(tr: SequenceTrace) -> LogScaledReal:

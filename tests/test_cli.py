@@ -99,6 +99,25 @@ def test_nonconvergence_exit_code():
     assert "non-convergence" in err
 
 
+def test_unexpected_error_is_one_line_with_exit_4():
+    # c^2 underflows to zero, so the coefficient recurrence divides by zero
+    rc, out, err = run_cli("report", "--c", "1e-300", "--n", "2")
+    assert rc == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: ZeroDivisionError")
+
+
+def test_unexpected_error_in_process_exit_4(monkeypatch, capsys):
+    def boom(cfg):
+        raise KeyError("missing")
+    monkeypatch.setattr(cli, "experiment1", boom)
+    assert cli.main(["table1", "--c", "10"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError: 'missing' (in boom, ")
+
+
 @pytest.mark.parametrize("dim", ["0", "-5"])
 def test_non_positive_pinned_dimension_is_config_error(dim):
     _assert_config_error(*run_cli("table1", "--c", "10", "--truncation-dim", dim))

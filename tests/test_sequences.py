@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from prolate import (ProlateContext, exponent_term, g_n_value,
+from prolate import (LogScaledReal, ProlateContext, exponent_term, g_n_value,
                      lambda_gamma_bound, lambda_log, product_lower_bound,
                      trace, zeta)
 from prolate.sequences import (a_new, a_tilde, b_chi, b_one, b_two, big_a,
@@ -165,3 +166,156 @@ def test_gamma_route_preconditions(tr100, ctx100):
     odd_tr = trace(100.0, 81, ctx100.chi(81))
     with pytest.raises(ValueError):
         lambda_gamma_bound(odd_tr, 0.5)
+
+
+# -- the trace against a reference loop and a high-precision oracle ---------
+
+def _reference_trace(c, chi, K):
+    """The earlier trace loop, every step in LogScaledReal arithmetic.
+
+    Kept only as a reference for the scaled-float trace; returns alpha,
+    beta, beta_new, gamma (lists with [0] unused), r and sigma.
+    """
+    alpha = [None] * (K + 1)
+    alpha[1] = LogScaledReal.one()
+    alpha[2] = LogScaledReal.from_float(big_b(0, c, chi))
+    for k in range(1, K - 1):
+        alpha[k + 2] = big_b(k, c, chi) * alpha[k + 1] - big_a(k) * alpha[k]
+    beta = [None] + [alpha[k] * math.sqrt(2.0 / (4 * k - 3)) for k in range(1, K + 1)]
+    beta_new = [None] + beta[1:4] + [None] * (K - 3)
+    for k in range(2, K - 1):
+        step = beta_new[k + 1] - beta_new[k]
+        beta_new[k + 2] = (b_chi(k, c, chi) + 1.0) * beta_new[k + 1] + a_new(k) * step
+    v2 = (chi - c * c) / (c * c)
+    gamma = [None] * (K + 1)
+    gamma[1] = LogScaledReal.from_float(math.sqrt(2.0))
+    gamma[2] = LogScaledReal.from_float(8.0 / (7.0 * math.sqrt(2.0)) * (2.0 + 3.0 * v2))
+    gamma[3] = LogScaledReal.from_float(
+        16.0 * math.sqrt(2.0) / 11.0
+        * (3.0 + 15.0 * v2 + (105.0 / 8.0) * v2 * (chi - c * c - 6.0) / (c * c)
+           - 105.0 / (2.0 * c * c)))
+    for k in range(2, K - 1):
+        gamma[k + 2] = (b_one(k, c, chi) + b_two(k)) * gamma[k + 1] - gamma[k]
+    r = [None] + [gamma[k + 1].sign * gamma[k].sign
+                  * math.exp(gamma[k + 1].log_abs - gamma[k].log_abs)
+                  for k in range(1, K)]
+    sigma = [None]
+    for k in range(1, K + 1):
+        half = 0.5 * (b_one(k, c, chi) + b_two(k))
+        sigma.append(half + math.sqrt(half * half - 1.0) if half >= 1.0 else math.nan)
+    return alpha, beta, beta_new, gamma, r, sigma
+
+
+@pytest.mark.parametrize("c,n,chi", [
+    (100.0, 80, None), (100.0, 120, None), (1000.0, 660, None), (1000.0, 700, None),
+    # chi / c^2 = 1e122: alpha_2 is past 2^256, so the first step rescales
+    # and beta_new starts from a beta_3 held with a nonzero exponent
+    (1e-60, 10, 110.0)])
+def test_trace_matches_log_scaled_reference(c, n, chi, ctx100, ctx1000):
+    if chi is None:
+        chi = (ctx100 if c == 100.0 else ctx1000).chi(n)
+    tr = trace(c, n, chi)
+    alpha, beta, beta_new, gamma, r, sigma = _reference_trace(c, chi, tr.K)
+    for name, ref in (("alpha", alpha), ("beta", beta),
+                      ("beta_new", beta_new), ("gamma", gamma)):
+        seq = getattr(tr, name)
+        assert len(seq) == tr.K + 1 and seq[0].is_zero()
+        for k in range(1, tr.K + 1):
+            assert seq[k].sign == ref[k].sign, (name, k)
+            assert abs(seq[k].log_abs - ref[k].log_abs) < 1e-10, (name, k)
+    assert math.isnan(tr.r[0]) and math.isnan(tr.r[tr.K]) and math.isnan(tr.sigma[0])
+    np.testing.assert_allclose(tr.r[1:tr.K], r[1:], rtol=1e-10)
+    # sigma is closed form, so the array and the scalar loop agree exactly
+    np.testing.assert_array_equal(tr.sigma[1:], sigma[1:])
+
+
+@pytest.mark.parametrize("family,extra", [
+    (big_a, ()), (big_b, (100.0, 1.8e4)), (b_chi, (1e4, 1.000137e8)),
+    (a_new, ()), (b_one, (3.0, 123.4)), (b_two, ())])
+def test_coefficient_families_on_arrays_equal_scalar_calls(family, extra):
+    # exact while the integer products in the formulas stay below 2^53,
+    # which holds for k up to 4000 in every family
+    ks = np.arange(1.0, 4001.0)
+    on_array = family(ks, *extra)
+    assert on_array.shape == ks.shape
+    assert on_array.tolist() == [family(k, *extra) for k in range(1, 4001)]
+
+
+def _oracle_logs(c, chi, K, digits=50):
+    """log|alpha_k|, log|beta_new_k|, log|gamma_k| for k = 1..K and their
+    signs, by the defining recurrences in mpmath at the given precision."""
+    with mpmath.workdps(digits):
+        c, chi = mpmath.mpf(c), mpmath.mpf(chi)
+        c2, gap = c * c, chi - c * c
+        one = mpmath.mpf(1)
+
+        def ks(k):
+            return mpmath.mpf(k)
+
+        def big_b_mp(k):
+            k = ks(k)
+            root = mpmath.sqrt((4 * k + 1) * (4 * k + 5))
+            return ((chi - 2 * k * (2 * k + 1)) / c2) * (4 * k + 3) * root \
+                / ((2 * k + 1) * (2 * k + 2)) \
+                - (4 * k * (2 * k + 1) - 1) * root / ((4 * k - 1) * (2 * k + 1) * (2 * k + 2))
+
+        def big_a_mp(k):
+            k = ks(k)
+            return k * (2 * k - 1) * (4 * k + 3) / ((k + 1) * (2 * k + 1) * (4 * k - 1)) \
+                * mpmath.sqrt((4 * k + 5) / (4 * k - 3))
+
+        def b_chi_mp(k):
+            k = ks(k)
+            return (4 * k + 1) * (4 * k + 3) / ((2 * k + 1) * (2 * k + 2)) \
+                * (gap - 2 * k * (2 * k + 1)) / c2
+
+        def a_new_mp(k):
+            k = ks(k)
+            return (4 * k - 4) * (4 * k - 6) * (4 * k + 7) / ((4 * k + 4) * (4 * k + 2) * (4 * k - 1))
+
+        def b_sum_mp(k):
+            k = ks(k)
+            b1 = 4 * (4 * k + 1) * (4 * k + 3) ** 2 / (4 * k * (4 * k - 2) * (4 * k + 7)) \
+                * (gap - 2 * k * (2 * k + 1)) / c2
+            return b1 + 2 + 60 / (32 * k ** 4 + 32 * k ** 3 - 38 * k ** 2 + 7 * k)
+
+        alpha = [None, one, big_b_mp(0)]
+        for k in range(1, K - 1):
+            alpha.append(big_b_mp(k) * alpha[k + 1] - big_a_mp(k) * alpha[k])
+        beta_new = [None] + [alpha[k] * mpmath.sqrt(2 / ks(4 * k - 3)) for k in (1, 2, 3)]
+        for k in range(2, K - 1):
+            beta_new.append((b_chi_mp(k) + 1) * beta_new[k + 1]
+                            + a_new_mp(k) * (beta_new[k + 1] - beta_new[k]))
+        v2 = gap / c2
+        s2 = mpmath.sqrt(2)
+        gamma = [None, s2, 8 / (7 * s2) * (2 + 3 * v2),
+                 16 * s2 / 11 * (3 + 15 * v2 + mpmath.mpf(105) / 8 * v2 * (gap - 6) / c2
+                                 - mpmath.mpf(105) / (2 * c2))]
+        for k in range(2, K - 1):
+            gamma.append(b_sum_mp(k) * gamma[k + 1] - gamma[k])
+        return {name: [(mpmath.sign(x), float(mpmath.log(abs(x)))) for x in seq[1:K + 1]]
+                for name, seq in (("alpha", alpha), ("beta_new", beta_new), ("gamma", gamma))}
+
+
+ALL = ("alpha", "beta_new", "gamma")
+
+
+@pytest.mark.parametrize("c,n,K,names", [
+    (100.0, 80, None, ALL), (1e4, 6450, None, ALL), (1e4, 6596, None, ALL),
+    # far past the turning index the terms reach 2^2000 and alternate in
+    # sign, so the power-of-two rescaling runs several times.  alpha is
+    # left out: it passes close to zero at k = 71, where its log is
+    # ill-conditioned in any double recurrence (off by 0.08 here, and by
+    # 0.18 in the earlier log-scaled trace)
+    (100.0, 80, 400, ("beta_new", "gamma"))])
+def test_trace_against_high_precision_oracle(c, n, K, names, ctx100):
+    ctx = ctx100 if c == 100.0 else ProlateContext(c)
+    chi = ctx.chi(n)
+    tr = trace(c, n, chi, K)
+    oracle = _oracle_logs(c, chi, tr.K)
+    for name in names:
+        ref = oracle[name]
+        seq = getattr(tr, name)
+        for k, (sign, log_abs) in enumerate(ref, start=1):
+            assert seq[k].sign == sign, (name, k)
+            assert abs(seq[k].log_abs - log_abs) <= 1e-12, (name, k)
