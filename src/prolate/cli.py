@@ -80,7 +80,6 @@ def _add_common(sub):
     sub.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
     sub.add_argument("--large", action="store_true",
                      help="include c = 1e5 (multi-minute budget)")
-    sub.add_argument("--parallel", type=int, default=None, metavar="N")
     sub.add_argument("--truncation-dim", type=int, default=None, metavar="N",
                      help="pin the matrix dimension (2 to 1048576) instead of "
                           "sizing it from the coefficient decay")
@@ -155,9 +154,11 @@ def _apply_config(args, parser):
         "format": ("fmt", _config_format),
         "out": ("out", str),
         "truncation_dim": ("truncation_dim", _config_int),
-        "parallel": ("parallel", _config_int),
         "large": ("large", _config_flag),
     }
+    unknown = sorted(set(data) - set(mapping))
+    if unknown:
+        parser.error(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     for key, (attr, conv) in mapping.items():
         if key in data and getattr(args, attr, None) in (None, False):
             try:
@@ -183,10 +184,7 @@ def _config_from_args(args, default_c):
     return RunConfig(
         c_list=args.c if args.c is not None else default_c,
         eps_logs=getattr(args, "eps", None) or RunConfig.eps_logs,
-        fmt=args.fmt,
-        out=args.out,
         truncation_dim=args.truncation_dim,
-        parallel=args.parallel,
         large=args.large,
     )
 
@@ -196,7 +194,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args = _apply_config(args, parser)
     args.fmt = args.fmt or "csv"
-    args.parallel = args.parallel or 1
     try:
         if args.command == "table1":
             cfg = _config_from_args(args, RunConfig.c_list)
@@ -215,7 +212,7 @@ def main(argv=None) -> int:
             cfg = _config_from_args(args, (100.0,))
             rows = []
             for ctx in cfg.contexts():
-                rows.extend(decay_figure_rows(ctx, parallel=cfg.parallel))
+                rows.extend(decay_figure_rows(ctx))
             if args.n_range is not None:
                 lo, hi = args.n_range
                 rows = [r for r in rows if lo <= r["n"] <= hi]

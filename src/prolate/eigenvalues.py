@@ -45,7 +45,7 @@ class OracleUnreliable(RuntimeError):
 
 
 class MatchFailure(RuntimeError):
-    """Forward/backward recurrence passes disagree; truncation too small."""
+    """Forward/backward recurrence passes disagree at the matching row."""
 
 
 def lambda_direct(m: ProlateMode) -> LogScaledReal:
@@ -171,24 +171,16 @@ def lambda_log(ctx: ProlateContext, n: int) -> LogScaledReal:
     chi_val = ctx.chi(n)
     dim = ctx.converged_dim(n)
     parity = n % 2
-    last_err = None
-    for _ in range(3):
-        band = build_matrix(ctx.c, parity, dim)
-        try:
-            signs, logs, _ = _two_sided_profile(band.diag, band.offdiag, chi_val, dim)
-        except MatchFailure as err:
-            last_err = err
-            dim *= 2
-            continue
-        w = even_values_at_zero(dim) if parity == 0 else odd_derivs_at_zero(dim)
-        total = signed_log_sum(signs * np.sign(w), logs + np.log(np.abs(w)))
-        if total.is_zero():
-            raise ArithmeticError("series at the origin summed to zero")
-        if parity == 0:
-            return LogScaledReal.from_log(0.5 * math.log(2.0) - total.log_abs)
-        return LogScaledReal.from_log(
-            math.log(ctx.c) + 0.5 * math.log(2.0 / 3.0) - total.log_abs)
-    raise last_err
+    band = build_matrix(ctx.c, parity, dim)
+    signs, logs, _ = _two_sided_profile(band.diag, band.offdiag, chi_val, dim)
+    w = even_values_at_zero(dim) if parity == 0 else odd_derivs_at_zero(dim)
+    total = signed_log_sum(signs * np.sign(w), logs + np.log(np.abs(w)))
+    if total.is_zero():
+        raise ArithmeticError("series at the origin summed to zero")
+    if parity == 0:
+        return LogScaledReal.from_log(0.5 * math.log(2.0) - total.log_abs)
+    return LogScaledReal.from_log(
+        math.log(ctx.c) + 0.5 * math.log(2.0 / 3.0) - total.log_abs)
 
 
 def lambda_abs(ctx: ProlateContext, n: int) -> LogScaledReal:

@@ -23,7 +23,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +44,11 @@ DEFAULT_EPS_LOGS = (-50.0, -100.0)
 
 @dataclass
 class RunConfig:
-    """Knobs shared by the experiment drivers and the CLI."""
+    """Band limits, eps targets and truncation policy of one run."""
 
     c_list: tuple = TABLE_C
-    n_list: tuple | None = None
     eps_logs: tuple = DEFAULT_EPS_LOGS
-    fmt: str = "csv"
-    out: str | None = None
     truncation_dim: int | None = None
-    parallel: int = 1
     large: bool = False
 
     def contexts(self):
@@ -77,13 +72,6 @@ class ThresholdRecord:
         return self.n2 - self.n1
 
 
-def _map(fn, items, parallel):
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # -- experiment 1 ------------------------------------------------------------
 
 def table1_indices(c: float) -> tuple[int, int, int]:
@@ -98,8 +86,7 @@ def experiment1(cfg: RunConfig):
     """
     contexts = cfg.contexts()
 
-    def one(ctx_n):
-        ctx, n = ctx_n
+    def one(ctx, n):
         row = {
             "c": ctx.c,
             "n": n,
@@ -115,14 +102,13 @@ def experiment1(cfg: RunConfig):
             row["error"] = str(err)
         return row
 
-    jobs = [(ctx, n) for ctx in contexts for n in table1_indices(ctx.c)]
-    rows = _map(one, jobs, cfg.parallel)
+    rows = [one(ctx, n) for ctx in contexts for n in table1_indices(ctx.c)]
 
     sweep_rows = []
     sweep_ctx = next((ctx for ctx in contexts if ctx.c == 100.0), None)
     if sweep_ctx is not None:
-        jobs = [(sweep_ctx, n) for n in range(int(2 * sweep_ctx.c / math.pi) + 1)]
-        sweep_rows = _map(one, jobs, cfg.parallel)
+        sweep_rows = [one(sweep_ctx, n)
+                      for n in range(int(2 * sweep_ctx.c / math.pi) + 1)]
     return rows, sweep_rows
 
 
@@ -186,8 +172,7 @@ def experiment2(cfg: RunConfig):
     """Returns (threshold_records, figure_rows)."""
     contexts = cfg.contexts()
 
-    def one(job):
-        ctx, eps_log = job
+    def one(ctx, eps_log):
         c = ctx.c
         n1 = find_n1(ctx, eps_log)
         n2 = find_n2(ctx, eps_log)
@@ -195,32 +180,32 @@ def experiment2(cfg: RunConfig):
         return ThresholdRecord(eps_log, c, n1, (n1 - 2.0 * c / math.pi) / logc,
                                n2, (n2 - 2.0 * c / math.pi) / logc)
 
-    jobs = [(ctx, e) for e in cfg.eps_logs for ctx in contexts]
-    records = _map(one, jobs, cfg.parallel)
+    records = [one(ctx, e) for e in cfg.eps_logs for ctx in contexts]
 
     figure_rows = []
     for ctx in contexts:
-        figure_rows.extend(decay_figure_rows(ctx, parallel=cfg.parallel))
+        figure_rows.extend(decay_figure_rows(ctx))
     return records, figure_rows
 
 
-def decay_figure_rows(ctx: ProlateContext, parallel: int = 1):
-    """(c, n, log|lambda|, log zeta) over even n in the plunge window."""
+def decay_figure_rows(ctx: ProlateContext):
+    """(c, n, log|lambda|, log zeta) over even n in the plunge window.
+
+    Rows run in increasing n, from the first even n past 2c/pi to
+    2c/pi + 20 log c.
+    """
     c = ctx.c
     lo = int(2.0 * c / math.pi) + 1
     if lo % 2:
         lo += 1
     hi = 2.0 * c / math.pi + 20.0 * math.log(c)
 
-    def one(n):
-        return {
-            "c": c,
-            "n": n,
-            "log_abs_lambda": lambda_log(ctx, n).log_abs,
-            "log_zeta": zeta(ctx.mode(n)).log_abs,
-        }
-
-    return _map(one, range(lo, int(hi) + 1, 2), parallel)
+    return [{
+        "c": c,
+        "n": n,
+        "log_abs_lambda": lambda_log(ctx, n).log_abs,
+        "log_zeta": zeta(ctx.mode(n)).log_abs,
+    } for n in range(lo, int(hi) + 1, 2)]
 
 
 # -- experiment 3 ------------------------------------------------------------
@@ -246,7 +231,7 @@ def experiment3(cfg: RunConfig):
             lo += 1
         n_max = exp3_n_max(c)
 
-        def one(n, ctx=ctx, c=c):
+        for n in range(lo, n_max, 2):
             row = {"c": c, "n": n, "log_abs_lambda": None, "neg_delta": None,
                    "log_zeta": None, "log_xi": None, "ordered": False}
             try:
@@ -260,9 +245,7 @@ def experiment3(cfg: RunConfig):
                            ordered=log_lam < -d < log_zeta < log_xi)
             except (TruncationNotConverged, MatchFailure, ArithmeticError) as err:
                 row["error"] = str(err)
-            return row
-
-        rows.extend(_map(one, range(lo, n_max, 2), cfg.parallel))
+            rows.append(row)
     return rows
 
 

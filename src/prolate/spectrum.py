@@ -14,20 +14,13 @@ dimension is doubled.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .legendre import even_values_at_zero, odd_derivs_at_zero
-
-CACHE_ENV_VAR = "PROLATE_CACHE_DIR"
-_CACHE_FORMAT = "prolate-spectrum-cache"
-_CACHE_VERSION = 1
 
 CHI_RTOL = 1e-10       # eigenvalue accuracy, relative
 TAIL_RTOL = 1e-20      # trailing coefficient magnitude, relative to the peak
@@ -138,17 +131,17 @@ class ProlateContext:
     dimension instead; the tail check still runs and failure raises
     TruncationNotConverged.
 
-    Cached entries are inserted under a lock, one key at a time, so
-    concurrent lookups for distinct n are safe.  If the environment
-    variable PROLATE_CACHE_DIR is set (or cache_dir is given), converged
-    eigenvalues persist to a small versioned JSON file there.
+    Converged eigenvalues and modes are memoised per context for the life
+    of the run.  A context is not meant to be shared across threads.
     """
 
     def __init__(self, c: float, truncation_dim: int | None = None,
-                 chi_rtol: float = CHI_RTOL, tail_rtol: float = TAIL_RTOL,
-                 cache_dir: str | None = None):
+                 chi_rtol: float = CHI_RTOL, tail_rtol: float = TAIL_RTOL):
         if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
             raise ValueError("band limit c must be a positive finite number")
+        if c * c == 0.0:
+            # every coupling scales with c^2; c below about 1.6e-162 makes it 0
+            raise ValueError(f"band limit c={c} is too small: c^2 underflows to zero")
         if truncation_dim is not None and not 2 <= truncation_dim <= _MAX_ROWS:
             raise ValueError(
                 f"truncation dimension must lie in [2, {_MAX_ROWS}], got {truncation_dim}")
@@ -158,46 +151,6 @@ class ProlateContext:
         self.tail_rtol = tail_rtol
         self._chi: dict[int, tuple[float, int]] = {}
         self._modes: dict[int, ProlateMode] = {}
-        self._lock = threading.Lock()
-        self._cache_path = None
-        cache_dir = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV_VAR)
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            self._cache_path = os.path.join(cache_dir, "spectrum_cache.json")
-            self._load_disk_cache()
-
-    # -- persistence -------------------------------------------------------
-
-    def _load_disk_cache(self):
-        try:
-            with open(self._cache_path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return
-        if data.get("format") != _CACHE_FORMAT or data.get("version") != _CACHE_VERSION:
-            return
-        entries = data.get("entries", {}).get(repr(self.c), {})
-        for key, (chi_val, dim) in entries.items():
-            self._chi[int(key)] = (float(chi_val), int(dim))
-
-    def _save_disk_cache(self):
-        if self._cache_path is None:
-            return
-        data = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "entries": {}}
-        try:
-            with open(self._cache_path) as fh:
-                old = json.load(fh)
-            if old.get("format") == _CACHE_FORMAT and old.get("version") == _CACHE_VERSION:
-                data["entries"] = old.get("entries", {})
-        except (OSError, ValueError):
-            pass
-        mine = data["entries"].setdefault(repr(self.c), {})
-        for n, (chi_val, dim) in sorted(self._chi.items()):
-            mine[str(n)] = [chi_val, dim]
-        tmp = self._cache_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, self._cache_path)
 
     # -- solves ------------------------------------------------------------
 
@@ -278,41 +231,31 @@ class ProlateContext:
         """Operator eigenvalue chi_n at the converged truncation."""
         if n < 0:
             raise ValueError("mode index must be non-negative")
-        with self._lock:
-            hit = self._chi.get(n)
-        if hit is not None:
-            return hit[0]
-        chi_val, _, dim = self._converged_solve(n, want_vector=False)
-        with self._lock:
-            self._chi[n] = (chi_val, dim)
-        self._save_disk_cache()
-        return chi_val
+        hit = self._chi.get(n)
+        if hit is None:
+            chi_val, _, dim = self._converged_solve(n, want_vector=False)
+            hit = self._chi[n] = (chi_val, dim)
+        return hit[0]
 
     def converged_dim(self, n: int) -> int:
         """Matrix dimension at which the mode converged (solving if needed)."""
-        with self._lock:
-            hit = self._chi.get(n)
-        if hit is None:
-            self.chi(n)
-            with self._lock:
-                hit = self._chi[n]
-        return hit[1]
+        self.chi(n)
+        return self._chi[n][1]
 
     def mode(self, n: int) -> ProlateMode:
         """Full eigenvector record for index n, cached."""
         if n < 0:
             raise ValueError("mode index must be non-negative")
-        with self._lock:
-            cached = self._modes.get(n)
+        cached = self._modes.get(n)
         if cached is not None:
             return cached
-        with self._lock:
-            hit = self._chi.get(n)
+        hit = self._chi.get(n)
         if hit is not None:
             chi_val, dim = hit
             _, vec, _, _ = self._eig(n, dim)
         else:
             chi_val, vec, dim = self._converged_solve(n, want_vector=True)
+            self._chi[n] = (chi_val, dim)
         vec = vec / np.linalg.norm(vec)
         if vec[np.argmax(np.abs(vec))] < 0:
             vec = -vec
@@ -323,10 +266,7 @@ class ProlateContext:
         else:
             dpsi0 = float(vec @ odd_derivs_at_zero(vec.size))
             m = ProlateMode(n, self.c, chi_val, parity, vec, None, dpsi0)
-        with self._lock:
-            self._modes[n] = m
-            self._chi.setdefault(n, (chi_val, dim))
-        self._save_disk_cache()
+        self._modes[n] = m
         return m
 
     def chi_many(self, n_max: int) -> np.ndarray:

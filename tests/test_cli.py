@@ -100,13 +100,30 @@ def test_nonconvergence_exit_code():
 
 
 def test_unexpected_error_is_one_line_with_exit_4():
-    # c^2 underflows to zero, so the coefficient recurrence divides by zero
-    rc, out, err = run_cli("report", "--c", "1e-300", "--n", "2")
-    assert rc == 4
-    assert out == ""
-    assert "Traceback" not in err
-    assert err.count("\n") == 1
-    assert err.startswith("internal error: ZeroDivisionError")
+    # a failure no handler expects, injected into a fresh interpreter
+    code = ("import sys\n"
+            "from prolate import cli\n"
+            "def boom(cfg):\n"
+            "    return 1 / 0\n"
+            "cli.experiment1 = boom\n"
+            "sys.exit(cli.main(['table1', '--c', '10']))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("internal error: ZeroDivisionError")
+
+
+def test_underflowing_band_limit_is_config_error():
+    _assert_config_error(*run_cli("report", "--c", "1e-300", "--n", "2"))
+
+
+def test_removed_parallel_flag_is_rejected():
+    rc, out, err = run_cli("figures", "--parallel", "2")
+    assert rc == 2
+    assert out == "" and "--parallel" in err
 
 
 def test_unexpected_error_in_process_exit_4(monkeypatch, capsys):
@@ -161,7 +178,7 @@ def test_unwritable_output_is_config_error(tmp_path):
                                   {"large": "false"}, [10.0],
                                   {"truncation_dim": 2.9},
                                   {"truncation_dim": True},
-                                  {"parallel": 1.5}])
+                                  {"parallel": 1.5}, {"paralel": 2}])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, data):
     monkeypatch.setattr(cli, "experiment1",
                         lambda cfg: pytest.fail("bad config value accepted"))
@@ -172,10 +189,11 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, data):
     assert exc.value.code == 2
 
 
-def test_integral_config_values_are_accepted(tmp_path):
+@pytest.mark.parametrize("dim", [400.0, "400"])
+def test_integral_config_values_are_accepted(tmp_path, dim):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"truncation_dim": 400.0, "parallel": "1"}))
+    cfg.write_text(json.dumps({"truncation_dim": dim}))
     parser = cli.build_parser()
     args = cli._apply_config(
         parser.parse_args(["--config", str(cfg), "table1"]), parser)
-    assert args.truncation_dim == 400 and args.parallel == 1
+    assert args.truncation_dim == 400

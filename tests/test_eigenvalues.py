@@ -7,6 +7,7 @@ from prolate import (MatchFailure, ProlateContext, ResolutionLoss,
                      count_above, eigenvalue_record, lambda_abs,
                      lambda_direct, lambda_log, lambda_odd,
                      lambda_quadrature, mu)
+from prolate import eigenvalues
 from prolate.eigenvalues import _two_sided_profile
 from prolate.spectrum import build_matrix
 
@@ -118,6 +119,21 @@ def test_two_sided_profile_rejects_non_eigenvalue(ctx10):
     fake = 0.5 * (ctx10.chi(0) + ctx10.chi(2))
     with pytest.raises(MatchFailure):
         _two_sided_profile(band.diag, band.offdiag, fake, 120)
+
+
+def test_log_route_match_failure_is_not_retried(monkeypatch):
+    # at c = 0.01 the match fails at every dimension, so one profile is all
+    # the route may spend before it reports the failure
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _two_sided_profile(*args)
+
+    monkeypatch.setattr(eigenvalues, "_two_sided_profile", counted)
+    with pytest.raises(MatchFailure):
+        lambda_log(ProlateContext(0.01), 6)
+    assert len(calls) == 1
 
 
 def test_mu_arithmetic():

@@ -164,9 +164,3 @@ def test_json_rendering():
     text = rows_to_json(rows, ["c", "n"])
     assert '"extra"' not in text
     assert text == rows_to_json(rows, ["c", "n"])
-
-
-def test_parallel_rows_match_serial():
-    serial, _ = experiment1(RunConfig(c_list=(10.0,)))
-    threaded, _ = experiment1(RunConfig(c_list=(10.0,), parallel=4))
-    assert serial == threaded

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 import prolate.spectrum as spectrum
 from prolate import (ProlateContext, TruncationNotConverged, build_matrix,
                      chi, gauss_legendre, lambda_log, mode, psi_value)
-from prolate.spectrum import CACHE_ENV_VAR
 
 
 def entry_diag(k, c):
@@ -178,6 +176,8 @@ def test_index_validation(ctx10):
         ProlateContext(0.0)
     with pytest.raises(ValueError):
         ProlateContext(float("nan"))
+    with pytest.raises(ValueError, match="underflows"):
+        ProlateContext(1e-300)
     for dim in (0, 1, -5, spectrum._MAX_ROWS + 1):
         with pytest.raises(ValueError):
             ProlateContext(10.0, truncation_dim=dim)
@@ -279,22 +279,11 @@ def test_chi_stability_under_explicit_doubling(ctx100):
     assert abs(a - b) <= 1e-10 * abs(b)
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    first = ProlateContext(12.5)
-    val = first.chi(4)
-    path = tmp_path / "spectrum_cache.json"
-    data = json.loads(path.read_text())
-    assert data["format"] == "prolate-spectrum-cache"
-    assert data["version"] == 1
-    assert "4" in data["entries"][repr(12.5)]
-    second = ProlateContext(12.5)
-    assert second.chi(4) == val
-    assert second.converged_dim(4) == first.converged_dim(4)
-
-
-def test_cache_ignored_when_unset(monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    ctx = ProlateContext(9.0)
-    ctx.chi(2)
-    assert ctx._cache_path is None
+def test_pinned_context_ignores_cache_dir_variable(tmp_path, monkeypatch):
+    # chi computed at the auto-converged dimension must not leak into a
+    # context whose pinned dimension leaves a live tail
+    monkeypatch.setenv("PROLATE_CACHE_DIR", str(tmp_path))
+    ProlateContext(10.0).chi(8)
+    with pytest.raises(TruncationNotConverged):
+        ProlateContext(10.0, truncation_dim=6).chi(8)
+    assert list(tmp_path.iterdir()) == []
