@@ -28,6 +28,8 @@ from .spectrum import ProlateContext, TruncationNotConverged
 
 
 _FORMATS = ("csv", "json")
+# the commands whose default band limits --large extends
+_LARGE_COMMANDS = ("table1", "table2", "figures", "experiment3")
 
 
 def _parse_c_list(text):
@@ -79,7 +81,8 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
     sub.add_argument("--large", action="store_true",
-                     help="include c = 1e5 (multi-minute budget)")
+                     help="include c = 1e5 (multi-minute budget; table1, "
+                          "table2, figures and experiment3 only)")
     sub.add_argument("--truncation-dim", type=int, default=None, metavar="N",
                      help="pin the matrix dimension (2 to 1048576) instead of "
                           "sizing it from the coefficient decay")
@@ -195,6 +198,9 @@ def main(argv=None) -> int:
     args = _apply_config(args, parser)
     args.fmt = args.fmt or "csv"
     try:
+        if args.large and args.command not in _LARGE_COMMANDS:
+            raise ValueError(f"--large does not apply to {args.command}; it "
+                             f"extends only {', '.join(_LARGE_COMMANDS)}")
         if args.command == "table1":
             cfg = _config_from_args(args, RunConfig.c_list)
             rows, _ = experiment1(cfg)

@@ -12,10 +12,14 @@ eigenfunction is largest and divide.  Only meaningful while the eigenvalue
 is resolvable in doubles, which makes it an independent oracle for route 1.
 
 Route 3 (log-domain): the coefficient profile is rebuilt as ratios against
-the leading coefficient by a two-sided Miller-type recurrence -- forward
-through the growth region, backward from the decaying tail, matched at the
-peak of the forward profile -- entirely in scaled arithmetic.  This resolves
-magnitudes like e^-125 that are pure rounding noise in any eigenvector.
+the leading coefficient by the two-sided treatment of the three-term
+recurrence (T - chi I) v = 0 (Gautschi 1967; Miller's algorithm on the
+decaying side).  The forward rows, through the growth region, are a
+lower-banded triangular solve (LAPACK dtbtrs) in blocks rescaled by powers
+of two; the backward rows, from the decaying tail, are one tridiagonal
+solve (LAPACK dgtsv); the two are matched at the peak of the forward
+profile and kept as signs and logs.  This resolves magnitudes like e^-125
+that are pure rounding noise in any eigenvector.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv, dtbtrs
 
 from .legendre import even_values_at_zero, gauss_legendre, odd_derivs_at_zero
 from .logscale import LogScaledReal, signed_log_sum
@@ -31,9 +36,10 @@ from .spectrum import ProlateContext, ProlateMode, build_matrix, psi_value
 
 _EPS = np.finfo(float).eps
 RESOLUTION_FLOOR = 1e3 * _EPS    # smallest usable leading coefficient, relative
-_RESCALE = 1e250
-_LOG_RESCALE = math.log(_RESCALE)
 _MATCH_TOL = 1e-3
+_LN2 = math.log(2.0)
+# log of the largest growth the bound allows within one forward block
+_BLOCK_GROWTH = 500 * _LN2
 
 
 class ResolutionLoss(ArithmeticError):
@@ -96,69 +102,95 @@ def lambda_quadrature(m: ProlateMode, rule=None) -> LogScaledReal:
     return LogScaledReal.from_float(abs(integral / p_star))
 
 
+def _forward_profile(d, e, rows):
+    """v_0 = 1 and v_1 .. v_rows from rows 0 .. rows-1 of (T - chi I) v = 0.
+
+    Returns (vals, exps) with v_j = vals[j] * 2**exps[j].  Row j gives
+    e_j v_{j+1} = -(d_j v_j + e_{j-1} v_{j-1}), so v_1 .. v_rows solve a
+    lower-triangular band with e_j on the diagonal and d_{j+1}, e_{j+1} on
+    the two subdiagonals.  Row j grows max(|v_j|, |v_{j+1}|) by at most
+    (|d_j| + e_{j-1}) / e_j, so the rows are solved in blocks over which
+    that bound stays below 2^500, each block starting from the last two
+    values of the one before, rescaled by a power of two to at most 1.
+    """
+    ab = np.zeros((3, rows), order="F")    # columns of a block are contiguous
+    ab[0] = e[:rows]
+    ab[1, :-1] = d[1:rows]
+    ab[2, :-2] = e[1:rows - 1]
+    e_prev = np.concatenate(([0.0], e[:rows - 1]))
+    step = np.log((np.abs(d[:rows]) + e_prev) / e[:rows])
+    # a row whose bound alone passes the limit forms a block of its own
+    growth = np.cumsum(np.fmin(np.fmax(step, 0.0), _BLOCK_GROWTH))
+
+    vals = np.empty(rows + 1)
+    exps = np.zeros(rows + 1, dtype=int)
+    vals[0] = 1.0
+    prev, cur, k, a = 0.0, 1.0, 0, 0
+    while a < rows:
+        base = growth[a - 1] if a else 0.0
+        b = max(a + 1, int(np.searchsorted(growth, base + _BLOCK_GROWTH, side="right")))
+        s = math.frexp(max(abs(prev), abs(cur)))[1]
+        prev, cur, k = math.ldexp(prev, -s), math.ldexp(cur, -s), k + s
+        rhs = np.zeros((b - a, 1))
+        rhs[0, 0] = -(d[a] * cur + (e[a - 1] * prev if a else 0.0))
+        if b - a > 1:
+            rhs[1, 0] = -e[a] * cur
+        x, info = dtbtrs(ab[:, a:b], rhs, uplo="L")
+        if info:
+            raise MatchFailure(f"forward system singular at row {a + info - 1}")
+        vals[a + 1:b + 1] = x[:, 0]
+        exps[a + 1:b + 1] = k
+        prev, cur, a = vals[b - 1] if b - a > 1 else cur, vals[b], b
+    return vals, exps
+
+
+# at tiny c the forward rows can overflow; the non-finite values then fail
+# the match instead of warning on the way
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _two_sided_profile(diag, offdiag, chi, dim):
     """Signed log profile of coefficient ratios against the leading entry.
+
+    The forward rows 0 .. j_hi + 1 grow from v_0 = 1 (_forward_profile);
+    the rows past the forward peak km come from the decaying tail, as the
+    tridiagonal solve of rows km+1 .. dim-1 with v_km = 1 and v_dim = 0.
+    The two are matched at km, and km + 1 checks the match.  Entries more
+    than about e^-745 below v_km underflow to zero and get sign 0.
 
     Returns (signs, logs, mismatch): arrays over block rows, plus the
     forward/backward log-ratio discrepancy at the matching check.
     """
-    d = (diag - chi).tolist()
-    e = offdiag.tolist()
+    d = diag - chi
+    e = offdiag
     j_hi = min(dim - 2, int(math.sqrt(max(chi, 0.0)) / 2.0) + 3)
 
-    f_val = [0.0] * (j_hi + 2)
-    f_off = [0.0] * (j_hi + 2)
-    x0, x1, shift = 1.0, -d[0] / e[0], 0.0
-    f_val[0], f_off[0] = 1.0, 0.0
-    f_val[1], f_off[1] = x1, 0.0
-    for j in range(1, j_hi + 1):
-        x2 = -(d[j] * x1 + e[j - 1] * x0) / e[j]
-        x0, x1 = x1, x2
-        a = abs(x1)
-        if a > _RESCALE:
-            x0 /= a
-            x1 /= a
-            shift += math.log(a)
-        f_val[j + 1], f_off[j + 1] = x1, shift
-
-    f_val = np.array(f_val)
-    with np.errstate(divide="ignore"):
-        f_logs = np.log(np.abs(f_val)) + f_off
+    f_val, f_exp = _forward_profile(d, e, j_hi + 1)
+    f_logs = np.log(np.abs(f_val)) + f_exp * _LN2
     km = int(np.argmax(f_logs[:j_hi + 1]))
 
-    b_val = [0.0] * dim
-    b_off = [0.0] * dim
-    y2, y1, shift = 0.0, 1.0, 0.0
-    b_val[dim - 1], b_off[dim - 1] = 1.0, 0.0
-    for j in range(dim - 2, km - 1, -1):
-        y0 = -(d[j + 1] * y1 + (e[j + 1] * y2 if j + 2 < dim else 0.0)) / e[j]
-        y2, y1 = y1, y0
-        a = abs(y1)
-        if a > _RESCALE:
-            y1 /= a
-            y2 /= a
-            shift += math.log(a)
-        b_val[j], b_off[j] = y1, shift
+    rows = dim - 1 - km
+    # the wrapper rejects an empty off-diagonal, even for a single row
+    off = e[km + 1:] if rows > 1 else np.zeros(1)
+    rhs = np.zeros((rows, 1))
+    rhs[0, 0] = -e[km]
+    *_, b_val, info = dgtsv(off, d[km + 1:], off, rhs)
+    if info:
+        raise MatchFailure(f"backward system singular at row {km + info}")
+    b_val = b_val[:, 0]
 
-    def flog(v, o):
-        return math.log(abs(v)) + o if v != 0.0 else -math.inf
-
-    if f_val[km] == 0.0 or b_val[km] == 0.0 or f_val[km + 1] == 0.0 or b_val[km + 1] == 0.0:
+    if f_val[km] == 0.0 or f_val[km + 1] == 0.0 or b_val[0] == 0.0:
         raise MatchFailure("zero profile value at the matching index")
-    r0 = flog(f_val[km], f_off[km]) - flog(b_val[km], b_off[km])
-    s0 = (1 if f_val[km] > 0 else -1) * (1 if b_val[km] > 0 else -1)
-    r1 = flog(f_val[km + 1], f_off[km + 1]) - flog(b_val[km + 1], b_off[km + 1])
-    s1 = (1 if f_val[km + 1] > 0 else -1) * (1 if b_val[km + 1] > 0 else -1)
+    b_logs = np.log(np.abs(b_val))
+    r0 = f_logs[km]                         # v_km = 1 on the backward side
+    s0 = 1 if f_val[km] > 0 else -1
+    r1 = f_logs[km + 1] - b_logs[0]
+    s1 = (1 if f_val[km + 1] > 0 else -1) * (1 if b_val[0] > 0 else -1)
     mismatch = abs(r1 - r0)
-    if s0 != s1 or mismatch > _MATCH_TOL:
+    if s0 != s1 or not mismatch <= _MATCH_TOL:
         raise MatchFailure(
             f"forward/backward ratio mismatch {mismatch:.2e} at row {km}")
 
-    b_val = np.array(b_val[km + 1:])
     signs = np.concatenate([np.sign(f_val[:km + 1]), s0 * np.sign(b_val)])
-    with np.errstate(divide="ignore"):
-        b_logs = np.log(np.abs(b_val)) + b_off[km + 1:] + r0
-    logs = np.concatenate([f_logs[:km + 1], b_logs])
+    logs = np.concatenate([f_logs[:km + 1], b_logs + r0])
     return signs, logs, mismatch
 
 

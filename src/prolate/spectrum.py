@@ -15,6 +15,7 @@ dimension is doubled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,11 @@ TAIL_RTOL = 1e-20      # trailing coefficient magnitude, relative to the peak
 # and log(TAIL_RTOL), for rounding in the computed eigenvector
 _ESTIMATE_MARGIN = math.log(1e3)
 # Largest block dimension any solve may use.  A mode plus its log-route
-# eigenvalue grows the resident memory by about 450 bytes per row (measured
-# at 1e5 and 4e5 rows; the Python lists of the two-sided recurrence take
-# the most), so the cap stands for about 0.5 GB.  c = 1e5 needs about 6e4
-# rows at the top of its decay window.
+# eigenvalue raises the peak resident memory by about 110 bytes per row
+# (measured at c = 100, n = 140 with the dimension pinned at 1e5 and 4e5
+# rows; the eigenvector solve alone takes about 85), so the cap stands for
+# about 0.12 GB.  c = 1e5 needs about 6e4 rows at the top of its decay
+# window.
 _MAX_ROWS = 1 << 20
 _EPS = np.finfo(float).eps
 
@@ -139,9 +141,11 @@ class ProlateContext:
                  chi_rtol: float = CHI_RTOL, tail_rtol: float = TAIL_RTOL):
         if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
             raise ValueError("band limit c must be a positive finite number")
-        if c * c == 0.0:
-            # every coupling scales with c^2; c below about 1.6e-162 makes it 0
-            raise ValueError(f"band limit c={c} is too small: c^2 underflows to zero")
+        if c * c < sys.float_info.min:
+            # every coupling scales with c^2; below about 1.5e-154 it is
+            # subnormal or zero and the profile recurrence turns to NaN
+            raise ValueError(f"band limit c={c} is too small: c^2 underflows "
+                             "below the smallest normal double")
         if truncation_dim is not None and not 2 <= truncation_dim <= _MAX_ROWS:
             raise ValueError(
                 f"truncation dimension must lie in [2, {_MAX_ROWS}], got {truncation_dim}")

@@ -120,6 +120,36 @@ def test_underflowing_band_limit_is_config_error():
     _assert_config_error(*run_cli("report", "--c", "1e-300", "--n", "2"))
 
 
+def test_band_limit_with_subnormal_square_is_config_error():
+    # c^2 = 1e-320 is subnormal, not zero; the profile would print nan
+    _assert_config_error(*run_cli("report", "--c", "1e-160", "--n", "2"))
+
+
+def test_small_band_limit_failed_match_is_not_nan():
+    # at c = 1e-100 the direct route loses n = 5 and the log route's match
+    # fails; that must be reported, not printed as nan
+    rc, out, err = run_cli("report", "--c", "1e-100", "--n", "5")
+    assert rc == 3
+    assert out == "" and "non-convergence" in err
+
+
+@pytest.mark.parametrize("argv", [["report", "--large", "--n", "2"],
+                                  ["verify", "--large", "--quick"]])
+def test_large_flag_is_refused_where_it_does_nothing(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "configuration error: --large" in err
+
+
+@pytest.mark.parametrize("command", [["report", "--n", "2"], ["verify", "--quick"]])
+def test_large_config_key_is_refused_where_it_does_nothing(tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"large": True}))
+    assert cli.main(["--config", str(cfg), *command]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "configuration error: --large" in err
+
+
 def test_removed_parallel_flag_is_rejected():
     rc, out, err = run_cli("figures", "--parallel", "2")
     assert rc == 2

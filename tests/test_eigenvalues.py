@@ -121,6 +121,129 @@ def test_two_sided_profile_rejects_non_eigenvalue(ctx10):
         _two_sided_profile(band.diag, band.offdiag, fake, 120)
 
 
+_RESCALE = 1e250
+
+
+def _reference_profile(diag, offdiag, chi, dim):
+    """The two-sided profile as scalar loops: the forward recurrence from
+    v_0 = 1 and the backward one from v_{dim-1} = 1, each rescaled by its
+    running magnitude past 1e250, matched at the forward peak."""
+    d = (diag - chi).tolist()
+    e = offdiag.tolist()
+    j_hi = min(dim - 2, int(math.sqrt(max(chi, 0.0)) / 2.0) + 3)
+
+    f_val = [0.0] * (j_hi + 2)
+    f_off = [0.0] * (j_hi + 2)
+    x0, x1, shift = 1.0, -d[0] / e[0], 0.0
+    f_val[0], f_off[0] = 1.0, 0.0
+    f_val[1], f_off[1] = x1, 0.0
+    for j in range(1, j_hi + 1):
+        x2 = -(d[j] * x1 + e[j - 1] * x0) / e[j]
+        x0, x1 = x1, x2
+        a = abs(x1)
+        if a > _RESCALE:
+            x0 /= a
+            x1 /= a
+            shift += math.log(a)
+        f_val[j + 1], f_off[j + 1] = x1, shift
+
+    f_val = np.array(f_val)
+    with np.errstate(divide="ignore"):
+        f_logs = np.log(np.abs(f_val)) + f_off
+    km = int(np.argmax(f_logs[:j_hi + 1]))
+
+    b_val = [0.0] * dim
+    b_off = [0.0] * dim
+    y2, y1, shift = 0.0, 1.0, 0.0
+    b_val[dim - 1], b_off[dim - 1] = 1.0, 0.0
+    for j in range(dim - 2, km - 1, -1):
+        y0 = -(d[j + 1] * y1 + (e[j + 1] * y2 if j + 2 < dim else 0.0)) / e[j]
+        y2, y1 = y1, y0
+        a = abs(y1)
+        if a > _RESCALE:
+            y1 /= a
+            y2 /= a
+            shift += math.log(a)
+        b_val[j], b_off[j] = y1, shift
+
+    def flog(v, o):
+        return math.log(abs(v)) + o if v != 0.0 else -math.inf
+
+    if f_val[km] == 0.0 or b_val[km] == 0.0 or f_val[km + 1] == 0.0 or b_val[km + 1] == 0.0:
+        raise MatchFailure("zero profile value at the matching index")
+    r0 = flog(f_val[km], f_off[km]) - flog(b_val[km], b_off[km])
+    s0 = (1 if f_val[km] > 0 else -1) * (1 if b_val[km] > 0 else -1)
+    r1 = flog(f_val[km + 1], f_off[km + 1]) - flog(b_val[km + 1], b_off[km + 1])
+    s1 = (1 if f_val[km + 1] > 0 else -1) * (1 if b_val[km + 1] > 0 else -1)
+    mismatch = abs(r1 - r0)
+    if s0 != s1 or mismatch > eigenvalues._MATCH_TOL:
+        raise MatchFailure(
+            f"forward/backward ratio mismatch {mismatch:.2e} at row {km}")
+
+    b_val = np.array(b_val[km + 1:])
+    signs = np.concatenate([np.sign(f_val[:km + 1]), s0 * np.sign(b_val)])
+    with np.errstate(divide="ignore"):
+        b_logs = np.log(np.abs(b_val)) + b_off[km + 1:] + r0
+    logs = np.concatenate([f_logs[:km + 1], b_logs])
+    return signs, logs, mismatch
+
+
+def _profile_args(c, n):
+    ctx = ProlateContext(c)
+    dim = ctx.converged_dim(n)
+    band = build_matrix(c, n % 2, dim)
+    return ctx, (band.diag, band.offdiag, ctx.chi(n), dim)
+
+
+@pytest.mark.parametrize("c,n", [(10.0, 250), (10.0, 400), (1000.0, 700)]
+                         + [(1.0e4, n) for n, _ in DEEP_TAIL_PINS])
+def test_profile_matches_loop_reference(monkeypatch, c, n):
+    ctx, args = _profile_args(c, n)
+    signs, logs, _ = _two_sided_profile(*args)
+    ref_signs, ref_logs, _ = _reference_profile(*args)
+    # entries within 700 of the peak; deeper ones may underflow to zero
+    live = ref_logs > np.max(ref_logs) - 700.0
+    assert np.array_equal(signs[live], ref_signs[live])
+    assert np.max(np.abs(logs[live] - ref_logs[live])) < 1e-10
+    log_lam = lambda_log(ctx, n).log_abs
+    monkeypatch.setattr(eigenvalues, "_two_sided_profile", _reference_profile)
+    assert log_lam == pytest.approx(lambda_log(ctx, n).log_abs, rel=1e-12)
+
+
+def test_profile_forward_rows_in_rescaled_blocks(monkeypatch):
+    # c = 10, n = 400 grows the forward rows by about e^1633, more than
+    # three times the 2^500 one block may grow; the reference comparison
+    # at this point is in test_profile_matches_loop_reference
+    blocks = []
+    dtbtrs = eigenvalues.dtbtrs
+
+    def counted(ab, *args, **kwargs):
+        blocks.append(ab.shape[1])
+        return dtbtrs(ab, *args, **kwargs)
+
+    monkeypatch.setattr(eigenvalues, "dtbtrs", counted)
+    _, args = _profile_args(10.0, 400)
+    logs = _two_sided_profile(*args)[1]
+    assert len(blocks) >= 3
+    assert np.max(logs) > 3 * 500 * math.log(2.0)
+
+
+@pytest.mark.parametrize("c", [1e-153, 1e-100, 1e-20, 1e-4, 0.01])
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12])
+def test_profile_fails_where_loop_fails_at_small_c(c, n):
+    # at c = 1e-153 the banded solve overflows too, and its NaN mismatch
+    # must fail the match
+    _, args = _profile_args(c, n)
+    with pytest.raises(MatchFailure):
+        _two_sided_profile(*args)
+    # the loop fails at every point of this grid too: it raises, or (at
+    # c <= 1e-100, where its forward rows overflow) returns a NaN mismatch
+    try:
+        assert math.isnan(_reference_profile(*args)[2])
+    except MatchFailure:
+        pass
+
+
 def test_log_route_match_failure_is_not_retried(monkeypatch):
     # at c = 0.01 the match fails at every dimension, so one profile is all
     # the route may spend before it reports the failure
