@@ -163,7 +163,13 @@ def _apply_config(args, parser):
     if unknown:
         parser.error(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     for key, (attr, conv) in mapping.items():
-        if key in data and getattr(args, attr, None) in (None, False):
+        if key not in data:
+            continue
+        # argparse sets every flag the command has, so a missing attribute
+        # is a key the command would silently ignore
+        if not hasattr(args, attr):
+            parser.error(f"config key {key!r} does not apply to {args.command}")
+        if getattr(args, attr) in (None, False):
             try:
                 setattr(args, attr, conv(data[key]))
             except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
@@ -212,7 +218,7 @@ def main(argv=None) -> int:
                 return 3
         elif args.command == "table2":
             cfg = _config_from_args(args, (10.0, 1.0e2, 1.0e3, 1.0e4))
-            records, _ = experiment2(cfg)
+            records = experiment2(cfg)
             _emit(threshold_records_to_rows(records), TABLE2_HEADER, args)
         elif args.command == "figures":
             cfg = _config_from_args(args, (100.0,))

@@ -200,11 +200,11 @@ def lambda_log(ctx: ProlateContext, n: int) -> LogScaledReal:
     Works for either parity; the odd case pairs the two-sided profile with
     the derivative-at-zero weights of the odd companion formula.
     """
-    chi_val = ctx.chi(n)
-    dim = ctx.converged_dim(n)
+    m = ctx.mode(n)
+    dim = m.dim
     parity = n % 2
     band = build_matrix(ctx.c, parity, dim)
-    signs, logs, _ = _two_sided_profile(band.diag, band.offdiag, chi_val, dim)
+    signs, logs, _ = _two_sided_profile(band.diag, band.offdiag, m.chi, dim)
     w = even_values_at_zero(dim) if parity == 0 else odd_derivs_at_zero(dim)
     total = signed_log_sum(signs * np.sign(w), logs + np.log(np.abs(w)))
     if total.is_zero():

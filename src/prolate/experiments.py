@@ -8,7 +8,9 @@ Three experiments, all emitting deterministic rows suitable for CSV/JSON:
 2. The smallest index n1 past 2c/pi where |lambda_n| drops below a target
    eps, the smallest even n2 where the principal bound does, and both
    normalized by log(c).  The scans use the log-domain eigenvalue route,
-   since every quantity here lives at e^-50 .. e^-100.
+   since every quantity here lives at e^-50 .. e^-100.  The decay curves
+   over the same window, log|lambda_n| and log zeta at each even n, are a
+   separate driver (decay_figure_rows).
 3. The chi-free bound ordering log|lambda| < -delta(n) < log zeta < log xi
    over the depth window at a large band limit.
 
@@ -169,7 +171,11 @@ def find_n2(ctx: ProlateContext, eps_log: float) -> int:
 
 
 def experiment2(cfg: RunConfig):
-    """Returns (threshold_records, figure_rows)."""
+    """Threshold records, one per (eps, c) pair, eps-major.
+
+    Each scan solves only the indices its bisection visits; the decay
+    curves over the window are decay_figure_rows, not part of this result.
+    """
     contexts = cfg.contexts()
 
     def one(ctx, eps_log):
@@ -180,12 +186,7 @@ def experiment2(cfg: RunConfig):
         return ThresholdRecord(eps_log, c, n1, (n1 - 2.0 * c / math.pi) / logc,
                                n2, (n2 - 2.0 * c / math.pi) / logc)
 
-    records = [one(ctx, e) for e in cfg.eps_logs for ctx in contexts]
-
-    figure_rows = []
-    for ctx in contexts:
-        figure_rows.extend(decay_figure_rows(ctx))
-    return records, figure_rows
+    return [one(ctx, e) for e in cfg.eps_logs for ctx in contexts]
 
 
 def decay_figure_rows(ctx: ProlateContext):
@@ -267,12 +268,11 @@ def verify_chi_structure(c_list=(10.0, 100.0, 1000.0), n_extra=50,
     for c in c_list:
         ctx = ProlateContext(c)
         n_top = int(2.0 * c / math.pi + n_extra)
-        chis = ctx.chi_many(n_top) * chi_perturbation
         c2 = c * c
         tri_ok = sandwich_ok = square_ok = True
         tri_bad = sandwich_bad = square_bad = None
         for n in range(2, n_top + 1):
-            chi_n = chis[n]
+            chi_n = ctx.chi(n) * chi_perturbation
             if n <= 2.0 * c / math.pi - 1.0 and not chi_n < c2:
                 tri_ok, tri_bad = False, n
             if n >= 2.0 * c / math.pi and not chi_n > c2:

@@ -133,8 +133,11 @@ class ProlateContext:
     dimension instead; the tail check still runs and failure raises
     TruncationNotConverged.
 
-    Converged eigenvalues and modes are memoised per context for the life
-    of the run.  A context is not meant to be shared across threads.
+    Each index n has one cached record, its ProlateMode, built by one
+    converged solve and kept for the life of the context; chi(n) and
+    converged_dim(n) read chi and the dimension from that record, so any
+    mix of calls for one n solves once.  A context is not meant to be
+    shared across threads.
     """
 
     def __init__(self, c: float, truncation_dim: int | None = None,
@@ -153,7 +156,6 @@ class ProlateContext:
         self.truncation_dim = truncation_dim
         self.chi_rtol = chi_rtol
         self.tail_rtol = tail_rtol
-        self._chi: dict[int, tuple[float, int]] = {}
         self._modes: dict[int, ProlateMode] = {}
 
     # -- solves ------------------------------------------------------------
@@ -214,7 +216,7 @@ class ProlateContext:
         peak = np.max(np.abs(vec))
         return bool(np.max(np.abs(vec[-4:])) < tail_rtol * peak)
 
-    def _converged_solve(self, n: int, want_vector: bool):
+    def _converged_solve(self, n: int):
         if self.truncation_dim is not None:
             dim = self._capped(max(self.truncation_dim, n // 2 + 2), n)
             chi_val, vec, _, _ = self._eig(n, dim)
@@ -222,29 +224,22 @@ class ProlateContext:
                 raise TruncationNotConverged(
                     f"fixed dimension {dim} leaves a live coefficient tail "
                     f"for c={self.c}, n={n}")
-            return chi_val, (vec if want_vector else None), dim
+            return chi_val, vec
         dim = self._start_dim(n)
         while True:
             chi_val, vec, resid, noise = self._eig(n, dim)
             if (self._tail_ok(vec, self.tail_rtol)
                     and resid <= self.chi_rtol * abs(chi_val) + noise):
-                return chi_val, (vec if want_vector else None), dim
+                return chi_val, vec
             dim = self._capped(2 * dim, n)
 
     def chi(self, n: int) -> float:
-        """Operator eigenvalue chi_n at the converged truncation."""
-        if n < 0:
-            raise ValueError("mode index must be non-negative")
-        hit = self._chi.get(n)
-        if hit is None:
-            chi_val, _, dim = self._converged_solve(n, want_vector=False)
-            hit = self._chi[n] = (chi_val, dim)
-        return hit[0]
+        """Operator eigenvalue chi_n, read from the mode record."""
+        return self.mode(n).chi
 
     def converged_dim(self, n: int) -> int:
-        """Matrix dimension at which the mode converged (solving if needed)."""
-        self.chi(n)
-        return self._chi[n][1]
+        """Matrix dimension at which the mode converged, from its record."""
+        return self.mode(n).dim
 
     def mode(self, n: int) -> ProlateMode:
         """Full eigenvector record for index n, cached."""
@@ -253,13 +248,7 @@ class ProlateContext:
         cached = self._modes.get(n)
         if cached is not None:
             return cached
-        hit = self._chi.get(n)
-        if hit is not None:
-            chi_val, dim = hit
-            _, vec, _, _ = self._eig(n, dim)
-        else:
-            chi_val, vec, dim = self._converged_solve(n, want_vector=True)
-            self._chi[n] = (chi_val, dim)
+        chi_val, vec = self._converged_solve(n)
         vec = vec / np.linalg.norm(vec)
         if vec[np.argmax(np.abs(vec))] < 0:
             vec = -vec
@@ -272,30 +261,6 @@ class ProlateContext:
             m = ProlateMode(n, self.c, chi_val, parity, vec, None, dpsi0)
         self._modes[n] = m
         return m
-
-    def chi_many(self, n_max: int) -> np.ndarray:
-        """chi_0 .. chi_{n_max} in one converged solve per parity block."""
-        out = np.empty(n_max + 1)
-        for parity in (0, 1):
-            top = n_max if (n_max % 2 == parity) else n_max - 1
-            if top < parity:
-                continue
-            hi = top // 2
-            # no vectors here, so the check is the eigenvalues' stability
-            # under one doubling
-            dim = self._start_dim(top)
-            prev = None
-            while True:
-                band = build_matrix(self.c, parity, dim)
-                vals = eigh_tridiagonal(band.diag, band.offdiag, select="i",
-                                        select_range=(0, hi), eigvals_only=True)
-                if prev is not None and np.all(np.abs(vals - prev)
-                                               <= self.chi_rtol * np.abs(vals) + _noise(band)):
-                    break
-                prev = vals
-                dim = self._capped(2 * dim, top)
-            out[parity:top + 1:2] = vals
-        return out
 
 
 def chi(ctx: ProlateContext, n: int) -> float:

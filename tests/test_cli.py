@@ -150,6 +150,28 @@ def test_large_config_key_is_refused_where_it_does_nothing(tmp_path, capsys, com
     assert out == "" and "configuration error: --large" in err
 
 
+@pytest.mark.parametrize("command", [["table1", "--c", "10"],
+                                     ["report", "--c", "10", "--n", "2"]])
+def test_config_key_without_a_flag_is_refused(tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"eps": "e-50"}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), *command])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config key 'eps' does not apply" in err
+
+
+def test_eps_config_key_applies_to_table2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"eps": "e-50"}))
+    assert cli.main(["--config", str(cfg), "table2", "--c", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    eps, c, n1, _, n2, *_ = lines[1].split(",")
+    assert (eps, c, n1, n2) == ("e-50", "10", "32", "38")
+
+
 def test_removed_parallel_flag_is_rejected():
     rc, out, err = run_cli("figures", "--parallel", "2")
     assert rc == 2

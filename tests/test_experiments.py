@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+import prolate.spectrum as spectrum
+from prolate import ProlateContext
 from prolate.experiments import (EXP3_HEADER, FIGURE_HEADER, TABLE1_HEADER,
-                                 TABLE2_HEADER, RunConfig, decay_figure_rows,
-                                 exp3_n_max, experiment1, experiment2,
-                                 experiment3, find_n1, find_n2,
+                                 TABLE2_HEADER, RunConfig, ThresholdRecord,
+                                 decay_figure_rows, exp3_n_max, experiment1,
+                                 experiment2, experiment3, find_n1, find_n2,
                                  negative_control, rows_to_csv, rows_to_json,
                                  sequence_sample_grid, table1_indices,
                                  threshold_records_to_rows,
@@ -56,19 +58,38 @@ def test_thresholds_at_small_c(ctx10):
 
 def test_experiment2_records():
     cfg = RunConfig(c_list=(10.0,), eps_logs=(-50.0,))
-    records, figure_rows = experiment2(cfg)
+    records = experiment2(cfg)
+    assert len(records) == 1
     rec = records[0]
     assert (rec.n1, rec.n2) == (32, 38)
     assert rec.n2_minus_n1 == 6
     assert rec.delta1 == pytest.approx((32 - 20 / math.pi) / math.log(10.0))
     rows = threshold_records_to_rows(records)
     assert rows[0]["eps"] == "e-50"
-    assert len(figure_rows) > 10
-    assert set(figure_rows[0]) == set(FIGURE_HEADER)
+
+
+def test_experiment2_solves_only_the_indices_it_scans(monkeypatch):
+    solves, asked = [], set()
+    real_solve, real_mode = spectrum.eigh_tridiagonal, ProlateContext.mode
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal",
+                        lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+
+    def mode(self, n):
+        asked.add((self.c, n))
+        return real_mode(self, n)
+    monkeypatch.setattr(ProlateContext, "mode", mode)
+    records = experiment2(RunConfig(c_list=(10.0, 100.0), eps_logs=(-50.0, -100.0)))
+    assert all(isinstance(r, ThresholdRecord) for r in records)
+    assert [(r.eps_log, r.c) for r in records] == [
+        (-50.0, 10.0), (-50.0, 100.0), (-100.0, 10.0), (-100.0, 100.0)]
+    # every solve belongs to an index some scan asked for, once
+    assert len(solves) == len(asked)
 
 
 def test_decay_figure_window(ctx10):
     rows = decay_figure_rows(ctx10)
+    assert len(rows) > 10
+    assert set(rows[0]) == set(FIGURE_HEADER)
     assert all(r["n"] % 2 == 0 for r in rows)
     assert rows[0]["n"] == 8
     assert all(r["log_abs_lambda"] < r["log_zeta"] for r in rows)

@@ -78,11 +78,17 @@ def test_chi_against_dense_oracle(ctx10):
 
 
 def test_chi_strictly_increasing(ctx10):
-    values = ctx10.chi_many(25)
+    values = np.array([chi(ctx10, n) for n in range(26)])
     assert np.all(np.diff(values) > 0)
-    # interleaving: parity-block solves agree with the global ordering
-    for n in (0, 7, 16):
-        assert chi(ctx10, n) == pytest.approx(values[n], rel=1e-12)
+    # interleaving: the parity-block solves agree with the global ordering,
+    # the merged spectrum of both dense blocks
+    blocks = []
+    for parity in (0, 1):
+        band = build_matrix(10.0, parity, 60)
+        dense = np.diag(band.diag) + np.diag(band.offdiag, 1) + np.diag(band.offdiag, -1)
+        blocks.append(np.linalg.eigvalsh(dense))
+    oracle = np.sort(np.concatenate(blocks))[:26]
+    assert values == pytest.approx(oracle, rel=1e-12)
 
 
 def test_mode_invariants(ctx10, ctx100):
@@ -218,9 +224,35 @@ def test_fresh_mode_costs_one_solve(monkeypatch):
         calls.clear()
         ctx.mode(n)
         assert len(calls) == 1, (c, n, calls)
+        # chi first, then everything else the record holds
+        ctx = ProlateContext(c)
         calls.clear()
-        ProlateContext(c).chi(n + 1)
+        ctx.chi(n + 1)
+        ctx.converged_dim(n + 1)
+        ctx.mode(n + 1)
+        lambda_log(ctx, n + 1)
         assert len(calls) == 1, (c, n + 1, calls)
+
+
+@pytest.mark.parametrize("pinned", [None, 400])
+def test_chi_and_dimension_read_the_mode_record(pinned):
+    ctx = ProlateContext(100.0, truncation_dim=pinned)
+    for n in (0, 31, 64, 101):
+        m = ctx.mode(n)
+        assert ctx.chi(n) == m.chi
+        assert ctx.converged_dim(n) == m.dim
+        assert ctx.mode(n) is m
+
+
+def test_chi_first_record_equals_mode_first_record():
+    for c, n in ((100.0, 64), (1000.0, 780), (1.0e4, 6596)):
+        chi_first = ProlateContext(c)
+        chi_first.chi(n)
+        a = chi_first.mode(n)
+        b = ProlateContext(c).mode(n)
+        assert a.chi == b.chi and a.dim == b.dim
+        assert np.array_equal(a.coeffs, b.coeffs), (c, n)
+        assert a.psi_at_zero == b.psi_at_zero
 
 
 def test_poor_estimate_converges_by_doubling(monkeypatch):
@@ -261,14 +293,14 @@ def test_row_cap_raises_truncation_error(monkeypatch):
     with pytest.raises(TruncationNotConverged, match="row cap"):
         ProlateContext(100.0).chi(20)
     with pytest.raises(TruncationNotConverged, match="row cap"):
-        ProlateContext(100.0).chi_many(20)
+        ProlateContext(100.0).mode(20)
     # a doubling passes the cap
     monkeypatch.setattr(spectrum, "_MAX_ROWS", 40)
     monkeypatch.setattr(ProlateContext, "_start_dim", lambda self, n: n // 2 + 2)
     with pytest.raises(TruncationNotConverged, match="row cap"):
-        ProlateContext(100.0).mode(20)
+        ProlateContext(100.0).chi(20)
     with pytest.raises(TruncationNotConverged, match="row cap"):
-        ProlateContext(100.0).chi_many(20)
+        ProlateContext(100.0).mode(20)
 
 
 def test_chi_stability_under_explicit_doubling(ctx100):
