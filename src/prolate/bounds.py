@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .elliptic import _agm_scale, complete_E, exponent_term
 from .eigenvalues import lambda_abs
 from .logscale import LogScaledReal
@@ -130,6 +128,65 @@ def lambda_chi_bound(n: int, c: float, chi: float) -> LogScaledReal:
     return LogScaledReal.from_log(log_val)
 
 
+# -- root finding -------------------------------------------------------------
+
+_BRENT_MAXITER = 100  # scipy's brentq default
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f on [xa, xb] by Brent's method, step for step scipy's brentq.
+
+    A port of the C loop behind ``scipy.optimize.brentq`` (brentq.c in
+    scipy's optimize/Zeros): the same bracket swap, the same tolerance
+    delta = (xtol + rtol |x|) / 2 and the same interpolate, extrapolate and
+    bisect branches, so it returns the same float for the same f, bracket
+    and tolerances without loading scipy.optimize.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
+
+
 # -- auxiliary functions ----------------------------------------------------
 
 def aux_f(x: float) -> float:
@@ -155,7 +212,7 @@ def aux_H(y: float) -> float:
         if hi > 1e12:
             raise RuntimeError("bracket growth failed; aux_f should be unbounded")
     # xtol at the evaluation-noise scale: tighter brackets cannot resolve
-    return brentq(lambda x: aux_f(x) - y, 0.0, hi, xtol=1e-16, rtol=8.9e-16)
+    return _brentq(lambda x: aux_f(x) - y, 0.0, hi, xtol=1e-16, rtol=8.9e-16)
 
 
 def aux_G(x: float) -> float:
@@ -188,8 +245,8 @@ def delta_of_n(n: int, c: float) -> float:
     def g(x):
         return xi_threshold(c, x) - n
 
-    root = brentq(g, 1e-300, 4.0 * math.pi * c * (1.0 - 1e-14),
-                  xtol=1e-300, rtol=8.9e-16)
+    root = _brentq(g, 1e-300, 4.0 * math.pi * c * (1.0 - 1e-14),
+                   xtol=1e-300, rtol=8.9e-16)
     return float(root)
 
 

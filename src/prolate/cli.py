@@ -30,6 +30,10 @@ from .spectrum import ProlateContext, TruncationNotConverged
 _FORMATS = ("csv", "json")
 # the commands whose default band limits --large extends
 _LARGE_COMMANDS = ("table1", "table2", "figures", "experiment3")
+# below this band limit the log route's forward/backward match fails (at
+# c = 0.05 and 0.01 for n = 12), so the commands refuse it as a configuration
+# error; this check also rejects zero and negative band limits
+_MIN_BAND_LIMIT = 0.1
 
 
 def _parse_c_list(text):
@@ -37,8 +41,8 @@ def _parse_c_list(text):
         values = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad band-limit list: {text!r}")
-    if any(not (v > 0 and math.isfinite(v)) for v in values):
-        raise argparse.ArgumentTypeError("band limits must be positive finite")
+    if any(not math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError("band limits must be finite")
     return values
 
 
@@ -190,8 +194,13 @@ def _emit(rows, header, args):
 
 
 def _config_from_args(args, default_c):
+    c_list = args.c if args.c is not None else default_c
+    for c in c_list:
+        if not c >= _MIN_BAND_LIMIT:
+            raise ValueError(f"band limit c = {c:g} is outside the supported "
+                             f"range c >= {_MIN_BAND_LIMIT:g}")
     return RunConfig(
-        c_list=args.c if args.c is not None else default_c,
+        c_list=c_list,
         eps_logs=getattr(args, "eps", None) or RunConfig.eps_logs,
         truncation_dim=args.truncation_dim,
         large=args.large,

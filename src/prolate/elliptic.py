@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 _QUAD_TOL = 1e-13
 
 
@@ -71,6 +69,7 @@ def complete_F_minus_E(k: float) -> float:
 
 def incomplete_F(y: float, k: float) -> float:
     """First-kind incomplete integral over [0, y], 0 <= y <= pi/2."""
+    from scipy.integrate import quad  # here, so `import prolate` skips it
     if not 0.0 <= y <= math.pi / 2:
         raise ValueError("amplitude must lie in [0, pi/2]")
     _check_modulus(k, allow_one=(y < math.pi / 2))
@@ -82,6 +81,7 @@ def incomplete_F(y: float, k: float) -> float:
 
 def incomplete_E(y: float, k: float) -> float:
     """Second-kind incomplete integral over [0, y], 0 <= y <= pi/2."""
+    from scipy.integrate import quad  # here, so `import prolate` skips it
     if not 0.0 <= y <= math.pi / 2:
         raise ValueError("amplitude must lie in [0, pi/2]")
     _check_modulus(k)

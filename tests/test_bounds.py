@@ -8,8 +8,10 @@ from prolate import (HypothesisViolated, ProlateContext, aux_f, aux_G, aux_H,
                      exponent_term, k0, lambda_abs, lambda_chi_bound,
                      lambda_log, nu, p0, report_delta, xi, xi_threshold,
                      xi_value, zeta, zeta_hypothesis)
-from prolate.bounds import BoundReport
+from prolate import bounds
+from prolate.bounds import BoundReport, _brentq
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 
 # -- nu ----------------------------------------------------------------------
@@ -253,6 +255,49 @@ def test_delta_domain():
         delta_of_n(63, 100.0)          # below 2c/pi
     with pytest.raises(ValueError):
         delta_of_n(319, 100.0)         # above 10c/pi
+
+
+@pytest.fixture
+def roots_against_scipy(monkeypatch):
+    """Route every _brentq call through scipy's brentq too; collect both roots."""
+    pairs = []
+
+    def both(f, xa, xb, xtol, rtol):
+        got = _brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+        pairs.append((got, brentq(f, xa, xb, xtol=xtol, rtol=rtol)))
+        return got
+
+    monkeypatch.setattr(bounds, "_brentq", both)
+    return pairs
+
+
+@pytest.mark.parametrize("c", [0.5, 10.0, 30.0, 100.0, 1000.0, 1e4])
+def test_delta_root_is_scipy_brentq_bit_for_bit(roots_against_scipy, c):
+    # integral n across (2c/pi, 10c/pi), at most 400 of them per band limit
+    lo, hi = math.floor(2 * c / math.pi) + 1, math.ceil(10 * c / math.pi) - 1
+    for n in sorted(set(np.linspace(lo, hi, 400).astype(int).tolist())):
+        delta_of_n(n, c)
+    assert roots_against_scipy
+    assert all(got == want for got, want in roots_against_scipy)
+
+
+def test_h_root_is_scipy_brentq_bit_for_bit(roots_against_scipy):
+    for y in np.logspace(-8, 4, 300):
+        aux_H(float(y))
+    assert len(roots_against_scipy) == 300
+    assert all(got == want for got, want in roots_against_scipy)
+
+
+def test_brentq_edge_cases_match_scipy():
+    tol = dict(xtol=1e-16, rtol=8.9e-16)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, **tol)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, **tol)
+    # f(a) = 0 or f(b) = 0 returns that end before any step
+    for a, b in ((2.0, 5.0), (-1.0, 2.0)):
+        assert _brentq(lambda x: x - 2.0, a, b, **tol) == 2.0
+        assert brentq(lambda x: x - 2.0, a, b, **tol) == 2.0
 
 
 def test_report_delta_clamps():

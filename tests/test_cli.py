@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from prolate import cli
+from prolate import MatchFailure, ProlateContext, bound_report, cli
 
 
 def run_cli(*args):
@@ -127,10 +127,49 @@ def test_band_limit_with_subnormal_square_is_config_error():
 
 def test_small_band_limit_failed_match_is_not_nan():
     # at c = 1e-100 the direct route loses n = 5 and the log route's match
-    # fails; that must be reported, not printed as nan
-    rc, out, err = run_cli("report", "--c", "1e-100", "--n", "5")
-    assert rc == 3
-    assert out == "" and "non-convergence" in err
+    # fails; that must be raised, not returned as nan (the command line
+    # refuses such a c before it computes anything)
+    with pytest.raises(MatchFailure):
+        bound_report(ProlateContext(1e-100), 5)
+    _assert_config_error(*run_cli("report", "--c", "1e-100", "--n", "5"))
+
+
+@pytest.mark.parametrize("c", ["0.05", "0.01", "0.0999"])
+def test_band_limit_below_supported_range_is_config_error(capsys, c):
+    # the log route's forward/backward match fails there
+    assert cli.main(["report", "--c", c, "--n", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error:") and "c >= 0.1" in err
+
+
+def test_band_limit_below_supported_range_in_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"c_list": [10.0, 0.05]}))
+    assert cli.main(["--config", str(cfg), "table1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "c >= 0.1" in err
+
+
+def test_lowest_supported_band_limit_works(capsys):
+    assert cli.main(["report", "--c", "0.1", "--n", "0,1,2,6,12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["0", "1", "2", "6", "12"]
+
+
+def test_commands_do_not_load_optimize_or_integrate():
+    # the runtime needs numpy and scipy.linalg only; scipy.optimize and
+    # scipy.integrate cost a fresh process about 0.25 s of imports
+    code = ("import contextlib, io, sys\n"
+            "from prolate import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['table1'])\n"
+            "loaded = [m for m in ('scipy.optimize', 'scipy.integrate')\n"
+            "          if m in sys.modules]\n"
+            "print(rc, loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.stdout == "0 []\n", proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["report", "--large", "--n", "2"],
