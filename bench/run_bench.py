@@ -1,21 +1,22 @@
 """End-to-end timings of the prolate CLI, written as one JSON object.
 
-    python3 bench/run_bench.py --side parent=../prolate-parent --side change=. \
-        --repeats 7 --perfbench-seeds 101-110 --out BENCH_<n>.json
+    python3 bench/run_bench.py --parent ../prolate-parent --change . \
+        --perfbench-seeds 101-110 --out BENCH_<n>.json
 
-Each --side NAME=PATH names a source checkout (PATH holds src/prolate).
-Every CLI command runs at its defaults in a fresh process, --repeats times
-per side; the sides alternate within each repeat, and which side goes first
-alternates between repeats, so a slow spell of a shared machine falls on
-both.  For each side and command the file records the median wall time (and
-every sample), the exit code, and the sha256 of stdout, which must be the
-same in every repeat.  BLAS and OpenMP are pinned to one thread.
+--parent and --change each name a source checkout (one holding
+src/prolate).  Every CLI command runs at its defaults in a fresh process,
+REPEATS times per side; the two sides alternate within each repeat, and
+which side goes first alternates between repeats, so a slow spell of a
+shared machine falls on both.  For each side and command the file records
+the median wall time (and every sample), the exit code, and the sha256 of
+stdout, which must be the same in every repeat.  BLAS and OpenMP are pinned
+to one thread.
 
 With --perfbench-seeds, each seed is also one alternating pair of
-`perfbench/run.py` runs per workload and side, each side running its own
-checkout's benchmark; the file then holds every run's end-to-end metrics,
-each side's median and quartiles, and how many pairs each side won (lower is
-better for every one of these metrics).
+`perfbench/run.py` runs per workload, each side running its own checkout's
+benchmark; the file then holds every run's end-to-end metrics, each side's
+median and quartiles, and how many pairs each side won (lower is better for
+every one of these metrics).
 
 Only the standard library is used, so the script adds no import time of its
 own to what it measures.
@@ -38,6 +39,7 @@ COMMANDS = (("table1",), ("table2",), ("figures",), ("experiment3",),
             ("verify", "--quick"), ("verify",))
 WORKLOADS = ("deep_tail", "route_oracle")
 PERFBENCH_SECONDS = 55
+REPEATS = 7
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 TIMEOUT_S = 600
@@ -51,7 +53,9 @@ def _env(root):
 
 
 def _alternating(repeat, sides):
-    return sides if repeat % 2 == 0 else sides[::-1]
+    """The (name, root) pairs in run order: parent first on even repeats."""
+    pairs = list(sides.items())
+    return pairs if repeat % 2 == 0 else pairs[::-1]
 
 
 def _quartiles(values):
@@ -71,9 +75,9 @@ def run_command(root, argv):
     return wall, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
-def bench_commands(sides, repeats):
-    samples = {name: {" ".join(c): [] for c in COMMANDS} for name, _ in sides}
-    for repeat in range(repeats):
+def bench_commands(sides):
+    samples = {name: {" ".join(c): [] for c in COMMANDS} for name in sides}
+    for repeat in range(REPEATS):
         for argv in COMMANDS:
             for name, root in _alternating(repeat, sides):
                 samples[name][" ".join(argv)].append(run_command(root, argv))
@@ -115,28 +119,26 @@ def run_perfbench(root, workload, seed):
 def bench_perfbench(sides, seeds):
     out = {}
     for workload in WORKLOADS:
-        runs = {name: [] for name, _ in sides}
+        runs = {name: [] for name in sides}
         for i, seed in enumerate(seeds):
             for name, root in _alternating(i, sides):
                 metrics, digest = run_perfbench(root, workload, seed)
                 runs[name].append({"seed": seed, "rows_sha256": digest, **metrics})
         summary = {}
-        for metric in runs[sides[0][0]][0]:
+        pairs = list(zip(runs["parent"], runs["change"]))
+        for metric in runs["parent"][0]:
             if metric in ("seed", "rows_sha256", "failed"):
                 continue
             entry = {}
-            for name, _ in sides:
+            for name in sides:
                 values = [r[metric] for r in runs[name]]
                 q1, q3 = _quartiles(values)
                 entry[name] = {"median": statistics.median(values),
                                "q1": q1, "q3": q3}
-            if len(sides) == 2:
-                (a, _), (b, _) = sides
-                pairs = list(zip(runs[a], runs[b]))
-                entry["pairs_won"] = {
-                    a: sum(x[metric] < y[metric] for x, y in pairs),
-                    b: sum(y[metric] < x[metric] for x, y in pairs),
-                }
+            entry["pairs_won"] = {
+                "parent": sum(p[metric] < c[metric] for p, c in pairs),
+                "change": sum(c[metric] < p[metric] for p, c in pairs),
+            }
             summary[metric] = entry
         out[workload] = {"seconds": PERFBENCH_SECONDS, "summary": summary,
                          "runs": runs}
@@ -158,14 +160,11 @@ def machine():
             "blas_threads": 1}
 
 
-def _parse_side(text):
-    name, sep, path = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError("a side looks like NAME=PATH")
+def _checkout(path):
     root = os.path.abspath(path)
     if not os.path.isfile(os.path.join(root, "src", "prolate", "cli.py")):
         raise argparse.ArgumentTypeError(f"no src/prolate/cli.py under {path!r}")
-    return name, root
+    return root
 
 
 def _parse_seeds(text):
@@ -178,25 +177,22 @@ def _parse_seeds(text):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--side", type=_parse_side, action="append", required=True,
-                    metavar="NAME=PATH", help="a checkout to measure (repeatable)")
-    ap.add_argument("--repeats", type=int, default=7,
-                    help="fresh processes per command and side")
+    ap.add_argument("--parent", type=_checkout, required=True, metavar="PATH",
+                    help="checkout of the parent commit")
+    ap.add_argument("--change", type=_checkout, required=True, metavar="PATH",
+                    help="checkout of the change")
     ap.add_argument("--perfbench-seeds", type=_parse_seeds, default=None,
                     metavar="LO-HI", help="one perfbench pair per seed and workload")
     ap.add_argument("--out", default=None, help="output path (default stdout)")
     args = ap.parse_args(argv)
-    if len({name for name, _ in args.side}) != len(args.side):
-        ap.error("side names must differ")
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
+    sides = {"parent": args.parent, "change": args.change}
 
     report = {"machine": machine(),
-              "sides": [name for name, _ in args.side],
-              "repeats": args.repeats,
-              "commands": bench_commands(args.side, args.repeats)}
+              "sides": list(sides),
+              "repeats": REPEATS,
+              "commands": bench_commands(sides)}
     if args.perfbench_seeds:
-        report["perfbench"] = bench_perfbench(args.side, args.perfbench_seeds)
+        report["perfbench"] = bench_perfbench(sides, args.perfbench_seeds)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

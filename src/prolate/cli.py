@@ -32,7 +32,7 @@ _FORMATS = ("csv", "json")
 _LARGE_COMMANDS = ("table1", "table2", "figures", "experiment3")
 # below this band limit the log route's forward/backward match fails (at
 # c = 0.05 and 0.01 for n = 12), so the commands refuse it as a configuration
-# error; this check also rejects zero and negative band limits
+# error; the same check rejects zero, negative and non-finite band limits
 _MIN_BAND_LIMIT = 0.1
 
 
@@ -41,8 +41,6 @@ def _parse_c_list(text):
         values = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad band-limit list: {text!r}")
-    if any(not math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError("band limits must be finite")
     return values
 
 
@@ -196,9 +194,9 @@ def _emit(rows, header, args):
 def _config_from_args(args, default_c):
     c_list = args.c if args.c is not None else default_c
     for c in c_list:
-        if not c >= _MIN_BAND_LIMIT:
+        if not _MIN_BAND_LIMIT <= c < math.inf:
             raise ValueError(f"band limit c = {c:g} is outside the supported "
-                             f"range c >= {_MIN_BAND_LIMIT:g}")
+                             f"range: finite c >= {_MIN_BAND_LIMIT:g}")
     return RunConfig(
         c_list=c_list,
         eps_logs=getattr(args, "eps", None) or RunConfig.eps_logs,

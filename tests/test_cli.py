@@ -134,21 +134,35 @@ def test_small_band_limit_failed_match_is_not_nan():
     _assert_config_error(*run_cli("report", "--c", "1e-100", "--n", "5"))
 
 
-@pytest.mark.parametrize("c", ["0.05", "0.01", "0.0999"])
-def test_band_limit_below_supported_range_is_config_error(capsys, c):
-    # the log route's forward/backward match fails there
+def test_match_failure_exit_code(monkeypatch, capsys):
+    # a MatchFailure inside a supported band limit is a non-convergence
+    def fail(ctx, n, delta=None):
+        raise MatchFailure(f"forward/backward ratio mismatch at n = {n}")
+    monkeypatch.setattr(cli, "bound_report", fail)
+    assert cli.main(["report", "--c", "100", "--n", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical non-convergence:") and "n = 5" in err
+
+
+@pytest.mark.parametrize("c", ["0.05", "0.01", "0.0999", "inf", "nan"])
+def test_band_limit_outside_supported_range_is_config_error(capsys, c):
+    # below 0.1 the log route's forward/backward match fails
     assert cli.main(["report", "--c", c, "--n", "12"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("configuration error:") and "c >= 0.1" in err
+    assert err.startswith("configuration error:") and "finite c >= 0.1" in err
 
 
-def test_band_limit_below_supported_range_in_config_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("c", [0.05, float("inf")])
+def test_band_limit_outside_supported_range_in_config_is_config_error(
+        tmp_path, capsys, c):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"c_list": [10.0, 0.05]}))
+    cfg.write_text(json.dumps({"c_list": [10.0, c]}))
     assert cli.main(["--config", str(cfg), "table1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "c >= 0.1" in err
+    assert out == ""
+    assert err.startswith("configuration error:") and "finite c >= 0.1" in err
 
 
 def test_lowest_supported_band_limit_works(capsys):
