@@ -1,7 +1,7 @@
 """End-to-end timings of the prolate CLI, written as one JSON object.
 
     python3 bench/run_bench.py --parent ../prolate-parent --change . \
-        --perfbench-seeds 101-110 --out BENCH_<n>.json
+        --tier1 --perfbench-seeds 101-110 --out BENCH_<n>.json
 
 --parent and --change each name a source checkout (one holding
 src/prolate).  Every CLI command runs at its defaults in a fresh process,
@@ -11,6 +11,12 @@ shared machine falls on both.  For each side and command the file records
 the median wall time (and every sample), the exit code, and the sha256 of
 stdout, which must be the same in every repeat.  BLAS and OpenMP are pinned
 to one thread.
+
+With --tier1, the tier-1 suite (`python -m pytest -q
+--continue-on-collection-errors`, the package imported from the
+checkout's src/) also runs TIER1_REPEATS times per side, alternating the
+same way; the file records each side's median wall time, every sample, the
+exit code and pytest's closing tally.
 
 With --perfbench-seeds, each seed is also one alternating pair of
 `perfbench/run.py` runs per workload, each side running its own checkout's
@@ -40,6 +46,8 @@ COMMANDS = (("table1",), ("table2",), ("figures",), ("experiment3",),
 WORKLOADS = ("deep_tail", "route_oracle")
 PERFBENCH_SECONDS = 55
 REPEATS = 7
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_REPEATS = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 TIMEOUT_S = 600
@@ -65,13 +73,29 @@ def _quartiles(values):
     return q1, q3
 
 
+def _timed(root, argv):
+    """One fresh Python process in a checkout; returns (wall seconds, process)."""
+    t0 = perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=root, env=_env(root),
+                          capture_output=True, timeout=TIMEOUT_S)
+    return perf_counter() - t0, proc
+
+
+def _summarise(runs, tag):
+    """Median and samples of (wall, exit code, tag value) runs of one command;
+    the exit code and tag value are listed only if the runs disagree."""
+    walls = [w for w, _, _ in runs]
+    codes = sorted({rc for _, rc, _ in runs})
+    values = sorted({v for _, _, v in runs})
+    return {"median_wall_s": round(statistics.median(walls), 4),
+            "wall_s": [round(w, 4) for w in walls],
+            "exit_code": codes[0] if len(codes) == 1 else codes,
+            tag: values[0] if len(values) == 1 else values}
+
+
 def run_command(root, argv):
     """One fresh CLI process; returns (wall seconds, exit code, stdout sha256)."""
-    t0 = perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "prolate.cli", *argv],
-                          cwd=root, env=_env(root), capture_output=True,
-                          timeout=TIMEOUT_S)
-    wall = perf_counter() - t0
+    wall, proc = _timed(root, ("-m", "prolate.cli", *argv))
     return wall, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
@@ -81,20 +105,26 @@ def bench_commands(sides):
         for argv in COMMANDS:
             for name, root in _alternating(repeat, sides):
                 samples[name][" ".join(argv)].append(run_command(root, argv))
-    result = {}
-    for name, commands in samples.items():
-        result[name] = {}
-        for command, runs in commands.items():
-            walls = [w for w, _, _ in runs]
-            codes = sorted({rc for _, rc, _ in runs})
-            digests = sorted({d for _, _, d in runs})
-            result[name][command] = {
-                "median_wall_s": round(statistics.median(walls), 4),
-                "wall_s": [round(w, 4) for w in walls],
-                "exit_code": codes[0] if len(codes) == 1 else codes,
-                "stdout_sha256": digests[0] if len(digests) == 1 else digests,
-            }
-    return result
+    return {name: {command: _summarise(runs, "stdout_sha256")
+                   for command, runs in commands.items()}
+            for name, commands in samples.items()}
+
+
+def run_tier1(root):
+    """One tier-1 run; returns (wall seconds, exit code, pytest's tally)."""
+    wall, proc = _timed(root, TIER1)
+    lines = proc.stdout.decode(errors="replace").strip().splitlines()
+    # "332 passed, 2 skipped in 20.91s" less its timing
+    tally = lines[-1].rsplit(" in ", 1)[0] if lines else ""
+    return wall, proc.returncode, tally
+
+
+def bench_tier1(sides):
+    runs = {name: [] for name in sides}
+    for repeat in range(TIER1_REPEATS):
+        for name, root in _alternating(repeat, sides):
+            runs[name].append(run_tier1(root))
+    return {name: _summarise(r, "tally") for name, r in runs.items()}
 
 
 def run_perfbench(root, workload, seed):
@@ -183,6 +213,8 @@ def main(argv=None):
                     help="checkout of the change")
     ap.add_argument("--perfbench-seeds", type=_parse_seeds, default=None,
                     metavar="LO-HI", help="one perfbench pair per seed and workload")
+    ap.add_argument("--tier1", action="store_true",
+                    help="also time the tier-1 test suite on each side")
     ap.add_argument("--out", default=None, help="output path (default stdout)")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
@@ -191,6 +223,8 @@ def main(argv=None):
               "sides": list(sides),
               "repeats": REPEATS,
               "commands": bench_commands(sides)}
+    if args.tier1:
+        report["tier1"] = {"repeats": TIER1_REPEATS, **bench_tier1(sides)}
     if args.perfbench_seeds:
         report["perfbench"] = bench_perfbench(sides, args.perfbench_seeds)
     text = json.dumps(report, indent=1) + "\n"

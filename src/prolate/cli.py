@@ -136,6 +136,14 @@ def _config_flag(v):
     return v
 
 
+def _config_c_list(v):
+    # tuple(float(x) for x in "55") is (5.0, 5.0), so only a list of numbers
+    if not isinstance(v, list) or not v or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+        raise ValueError(f"expected a non-empty list of numbers, got {v!r}")
+    return tuple(float(x) for x in v)
+
+
 def _config_int(v):
     # int(2.9) is 2 and int(True) is 1, so only whole numbers may pass
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
@@ -154,7 +162,7 @@ def _apply_config(args, parser):
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")
     mapping = {
-        "c_list": ("c", lambda v: tuple(float(x) for x in v)),
+        "c_list": ("c", _config_c_list),
         "eps": ("eps", lambda v: _parse_eps_list(v if isinstance(v, str) else ",".join(map(str, v)))),
         "format": ("fmt", _config_format),
         "out": ("out", str),

@@ -294,6 +294,21 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, data):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("c_list", ["55", [True], [], 10, ["10"], {"c": 10}])
+def test_config_band_limits_must_be_a_list_of_numbers(tmp_path, monkeypatch,
+                                                      capsys, c_list):
+    # a string is iterable, so "55" once ran table1 at c = 5 twice
+    monkeypatch.setattr(cli, "experiment1",
+                        lambda cfg: pytest.fail(f"ran at c = {cfg.c_list}"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"c_list": c_list}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "table1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad config value for 'c_list'" in err
+
+
 @pytest.mark.parametrize("dim", [400.0, "400"])
 def test_integral_config_values_are_accepted(tmp_path, dim):
     cfg = tmp_path / "run.json"

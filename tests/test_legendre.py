@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -189,19 +190,61 @@ def test_gauss_rule_odd_centre_node():
     assert abs(rule.nodes[550]) <= 1e-15
 
 
-def test_gauss_newton_stops_on_step_size(monkeypatch):
-    # the residual |P_m| stalls near m^1.5 eps, so only a step-size stop ends
-    # Newton after the few iterations quadratic convergence needs
+@pytest.mark.parametrize("m", [2, 5, 40, 1101])
+def test_gauss_rule_is_exactly_antisymmetric(m):
+    rule = gauss_legendre(m)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+
+
+def _reference_node_and_weight(m, i):
+    """The i-th node (ascending) of the m-point rule and its weight, by
+    Newton in 40 digits from the textbook cosine guess."""
+    with mpmath.workdps(40):
+        x = mpmath.cos(mpmath.pi * (m - i - 0.25) / (m + 0.5))
+        for _ in range(30):
+            p_prev, p = mpmath.mpf(1), x
+            for j in range(1, m):
+                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            d = m * (x * p - p_prev) / (x * x - 1)
+            step = p / d
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -36:
+                break
+        return x, 2 / ((1 - x * x) * d * d)
+
+
+@pytest.mark.parametrize("m", [40, 400])
+def test_gauss_rule_against_40_digit_reference(m):
+    # the end nodes, their neighbours and the middle pair; the earlier rule,
+    # Newton iterated from cosine guesses to a step-size stop, met the same
+    # 2e-16 absolute bound
+    rule = gauss_legendre(m)
+    for i in (0, 1, m // 2 - 1, m // 2, m - 2, m - 1):
+        x, w = _reference_node_and_weight(m, i)
+        assert abs(rule.nodes[i] - x) <= 2e-16
+        assert abs(rule.weights[i] - w) <= 2e-16
+
+
+@pytest.mark.parametrize("m", [60, 1100, 1101])
+def test_gauss_rule_is_two_half_size_sweeps(monkeypatch, m):
+    # one Newton step from the eigenvalue guesses, then one weight sweep,
+    # each over the ceil(m/2) nonnegative nodes only
     from prolate import legendre
     sweeps = []
 
-    def counting(m, x):
-        sweeps.append(m)
-        return real(m, x)
+    def counting(deg, x):
+        sweeps.append((deg, x.size))
+        return real(deg, x)
 
     real = legendre._legendre_and_deriv
     monkeypatch.setattr(legendre, "_legendre_and_deriv", counting)
-    for m in (60, 1100):
-        sweeps.clear()
-        legendre.gauss_legendre(m)
-        assert len(sweeps) <= 8
+    legendre.gauss_legendre(m)
+    assert sweeps == [(m, (m + 1) // 2)] * 2
+
+
+def test_gauss_rule_refuses_failed_eigenvalue_solve(monkeypatch):
+    from prolate import legendre
+    monkeypatch.setattr(legendre, "dsterf", lambda d, e: (d, 3))
+    with pytest.raises(ArithmeticError, match="info = 3"):
+        legendre.gauss_legendre(40)
