@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import _agm_scale, complete_E, exponent_term
-from .eigenvalues import lambda_abs
+from .eigenvalues import lambda_log
 from .logscale import LogScaledReal
 from .spectrum import ProlateContext, ProlateMode
 
@@ -328,7 +328,7 @@ def bound_report(ctx: ProlateContext, n: int, delta: float | None = None) -> Bou
     c = ctx.c
     m = ctx.mode(n)
     chi_val = m.chi
-    lam = lambda_abs(ctx, n)
+    lam = lambda_log(ctx, n)
     above_c2 = chi_val > c * c
 
     nu_v = nu(n, c)

@@ -30,9 +30,11 @@ from .spectrum import ProlateContext, TruncationNotConverged
 _FORMATS = ("csv", "json")
 # the commands whose default band limits --large extends
 _LARGE_COMMANDS = ("table1", "table2", "figures", "experiment3")
-# below this band limit the log route's forward/backward match fails (at
-# c = 0.05 and 0.01 for n = 12), so the commands refuse it as a configuration
-# error; the same check rejects zero, negative and non-finite band limits
+# below this band limit the log route's forward/backward match fails even at
+# small n (at c = 0.05 and 0.01 for n = 12), so the commands refuse it as a
+# configuration error; the same check rejects zero, negative and non-finite
+# band limits.  The floor does not guarantee the match at high n: at c = 0.1
+# it fails at 71 of the indices 41 .. 120 (exit 3; ROADMAP.md, item 1)
 _MIN_BAND_LIMIT = 0.1
 
 
@@ -83,8 +85,8 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
     sub.add_argument("--large", action="store_true",
-                     help="include c = 1e5 (multi-minute budget; table1, "
-                          "table2, figures and experiment3 only)")
+                     help="include c = 1e5 (table1, table2, figures and "
+                          "experiment3 only)")
     sub.add_argument("--truncation-dim", type=int, default=None, metavar="N",
                      help="pin the matrix dimension (2 to 1048576) instead of "
                           "sizing it from the coefficient decay")
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
                              f"extends only {', '.join(_LARGE_COMMANDS)}")
         if args.command == "table1":
             cfg = _config_from_args(args, RunConfig.c_list)
-            rows, _ = experiment1(cfg)
+            rows = experiment1(cfg)
             _emit(rows, TABLE1_HEADER, args)
             bad = failed_rows(rows)
             if bad:

@@ -1,18 +1,8 @@
-"""Eigenvalues of the bandlimited integral operator, by three routes.
+"""Eigenvalues of the bandlimited integral operator: one route, two oracles.
 
-Route 1 (direct): for even modes the eigenvalue is sqrt(2) * a1 / psi(0)
-where a1 is the degree-0 basis coefficient; the odd companion, obtained by
-differentiating the defining integral identity at the origin, is
-c * sqrt(2/3) * b1 / psi'(0) with b1 the degree-1 coefficient.  The odd
-formula is this package's own derivation and is validated against the
-published even-index machinery and the quadrature route.
-
-Route 2 (quadrature): apply the integral operator at the point where the
-eigenfunction is largest and divide.  Only meaningful while the eigenvalue
-is resolvable in doubles, which makes it an independent oracle for route 1.
-
-Route 3 (log-domain): the coefficient profile is rebuilt as ratios against
-the leading coefficient by the two-sided treatment of the three-term
+Route 3 (log-domain) is the production route; every command prints its
+|lambda_n|.  The coefficient profile is rebuilt as ratios against the
+leading coefficient by the two-sided treatment of the three-term
 recurrence (T - chi I) v = 0 (Gautschi 1967; Miller's algorithm on the
 decaying side).  The forward rows, through the growth region, are a
 lower-banded triangular solve (LAPACK dtbtrs) in blocks rescaled by powers
@@ -20,6 +10,22 @@ of two; the backward rows, from the decaying tail, are one tridiagonal
 solve (LAPACK dgtsv); the two are matched at the peak of the forward
 profile and kept as signs and logs.  This resolves magnitudes like e^-125
 that are pure rounding noise in any eigenvector.
+
+Routes 1 and 2 are oracles, run by verify and the tests.
+
+Route 1 (direct): for even modes the eigenvalue is sqrt(2) * a1 / psi(0)
+where a1 is the degree-0 basis coefficient; the odd companion, obtained by
+differentiating the defining integral identity at the origin, is
+c * sqrt(2/3) * b1 / psi'(0) with b1 the degree-1 coefficient.  The odd
+formula is this package's own derivation and is validated against the
+published even-index machinery and the quadrature route.  It is the same
+scale-invariant sqrt(2) v_0 / sum w_j v_j as route 3, with v taken from
+the eigenvector, so it refuses (ResolutionLoss) once the leading
+coefficient sinks into the eigenvector's rounding noise.
+
+Route 2 (quadrature): apply the integral operator at the point where the
+eigenfunction is largest and divide.  Only meaningful while the eigenvalue
+is resolvable in doubles, which makes it an independent oracle for both.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ _BLOCK_GROWTH = 500 * _LN2
 
 
 class ResolutionLoss(ArithmeticError):
-    """Leading coefficient lost in eigenvector noise; use the log route."""
+    """Leading coefficient lost in eigenvector noise; the oracle cannot run."""
 
 
 class OracleUnreliable(RuntimeError):
@@ -215,15 +221,6 @@ def lambda_log(ctx: ProlateContext, n: int) -> LogScaledReal:
         math.log(ctx.c) + 0.5 * math.log(2.0 / 3.0) - total.log_abs)
 
 
-def lambda_abs(ctx: ProlateContext, n: int) -> LogScaledReal:
-    """|lambda_n| by the cheapest reliable route for this regime."""
-    m = ctx.mode(n)
-    try:
-        return lambda_direct(m) if n % 2 == 0 else lambda_odd(m)
-    except ResolutionLoss:
-        return lambda_log(ctx, n)
-
-
 def mu(c: float, lam) -> LogScaledReal:
     """Eigenvalue of the sinc-kernel operator: (c / 2 pi) |lambda|^2."""
     if c <= 0:
@@ -258,5 +255,5 @@ class EigenvalueRecord:
 
 
 def eigenvalue_record(ctx: ProlateContext, n: int) -> EigenvalueRecord:
-    lam = lambda_abs(ctx, n)
+    lam = lambda_log(ctx, n)
     return EigenvalueRecord(n, lam, n % 4, mu(ctx.c, lam))

@@ -3,8 +3,7 @@
 Three experiments, all emitting deterministic rows suitable for CSV/JSON:
 
 1. |lambda_n| and mu_n at n = 0, ~c/pi and ~2c/pi for a ladder of band
-   limits, plus a full sweep at c = 100 (the near-flat region before the
-   plunge).  The printed indices are floor(c/pi) and floor(2c/pi).
+   limits.  The printed indices are floor(c/pi) and floor(2c/pi).
 2. The smallest index n1 past 2c/pi where |lambda_n| drops below a target
    eps, the smallest even n2 where the principal bound does, and both
    normalized by log(c).  The scans use the log-domain eigenvalue route,
@@ -31,8 +30,7 @@ import numpy as np
 
 from .bounds import (aux_f, aux_G, aux_H, delta_of_n, eta, nu, report_delta,
                      xi_threshold, xi_value, zeta)
-from .eigenvalues import (MatchFailure, ResolutionLoss,
-                          eigenvalue_record, lambda_abs,
+from .eigenvalues import (MatchFailure, ResolutionLoss, eigenvalue_record,
                           lambda_direct, lambda_log, lambda_odd,
                           lambda_quadrature)
 from .elliptic import complete_E
@@ -81,13 +79,11 @@ def table1_indices(c: float) -> tuple[int, int, int]:
 
 
 def experiment1(cfg: RunConfig):
-    """Returns (table_rows, sweep_rows); sweep covers c = 100, 0 <= n <= 2c/pi.
+    """The table rows, three indices per band limit.
 
     A numerical failure poisons only its own row (numeric cells empty, an
     "error" note attached); the remaining rows still compute.
     """
-    contexts = cfg.contexts()
-
     def one(ctx, n):
         row = {
             "c": ctx.c,
@@ -104,14 +100,7 @@ def experiment1(cfg: RunConfig):
             row["error"] = str(err)
         return row
 
-    rows = [one(ctx, n) for ctx in contexts for n in table1_indices(ctx.c)]
-
-    sweep_rows = []
-    sweep_ctx = next((ctx for ctx in contexts if ctx.c == 100.0), None)
-    if sweep_ctx is not None:
-        sweep_rows = [one(sweep_ctx, n)
-                      for n in range(int(2 * sweep_ctx.c / math.pi) + 1)]
-    return rows, sweep_rows
+    return [one(ctx, n) for ctx in cfg.contexts() for n in table1_indices(ctx.c)]
 
 
 # -- experiment 2 ------------------------------------------------------------
@@ -506,7 +495,7 @@ def verify_nu(c_list=(100.0, 500.0)):
         dom_ok, bad = True, None
         top = int(2.0 * c / math.pi + 10.0 * math.log(c))
         for n in range(0, top, max(1, top // 40)):
-            if not lambda_abs(ctx, n) <= nu(n, c):
+            if not lambda_log(ctx, n) <= nu(n, c):
                 dom_ok, bad = False, n
         checks.append(_check("nu", "dominates_lambda", c, bad, dom_ok))
     return checks

@@ -4,8 +4,9 @@ The eigenvalues of the bandlimited operator decay to e^-125 and far beyond
 any useful double-precision range once the index passes the plunge region,
 while the coefficient ratio sequences grow to the reciprocal of that.
 Everything here is therefore carried as a sign and the natural log of the
-magnitude, with addition done by shifting both operands by the larger
-magnitude first.
+magnitude.  A LogScaledReal is a value: build it, compare it, read it back.
+Sums of many terms go through signed_log_sum, which shifts every term by
+the largest magnitude first.
 """
 
 from __future__ import annotations
@@ -21,18 +22,10 @@ class LogScaledReal:
     """A real number stored as sign in {-1, 0, +1} and log of |value|.
 
     Exact zero is (sign=0, log_abs=-inf).  Construct with from_float /
-    from_log rather than the raw constructor.
-
-    Accuracy contract: log|x| is held to one ulp, so x itself is held to
-    about eps * |log x| relative (eps = 2^-52).  A sum a + b of values
-    from from_float, read back with to_float, lies within
-    9 eps (|a| + |b|) (1 + |log max(|a|, |b|)|) of the exact sum (plus the
-    spacing of subnormal doubles): the two operand logs give at most
-    4 u (|a| + |b|)(1 + |log max|) with u = eps / 2, and the shift, exp,
-    log1p, the final add and to_float's exp together at most 13 u times
-    the same.  The bound is absolute in the operands, not relative to the
-    result: a sum that cancels keeps the operands' error, so its relative
-    error grows with the cancellation.
+    from_log rather than the raw constructor.  log|x| is held to one ulp,
+    so x itself is held to about eps * |log x| relative (eps = 2^-52).
+    Values order by the real numbers they represent, and compare with
+    plain floats too.
     """
 
     sign: int
@@ -59,10 +52,6 @@ class LogScaledReal:
     def zero() -> "LogScaledReal":
         return LogScaledReal(0, -math.inf)
 
-    @staticmethod
-    def one() -> "LogScaledReal":
-        return LogScaledReal(1, 0.0)
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -72,99 +61,20 @@ class LogScaledReal:
         """Nearest double; overflows to +-inf and underflows to 0.0."""
         if self.sign == 0:
             return 0.0
-        if self.log_abs > 709.0:
+        try:
+            return self.sign * math.exp(self.log_abs)
+        except OverflowError:
             return math.inf * self.sign
-        return self.sign * math.exp(self.log_abs)
 
     __float__ = to_float
 
-    def log(self) -> float:
-        """Natural log of the value; requires a strictly positive value."""
-        if self.sign <= 0:
-            raise ValueError("log of a non-positive LogScaledReal")
-        return self.log_abs
-
-    # -- arithmetic ------------------------------------------------------
+    # -- ordering (by represented real value) ------------------------------
 
     @staticmethod
     def _coerce(x) -> "LogScaledReal":
         if isinstance(x, LogScaledReal):
             return x
         return LogScaledReal.from_float(x)
-
-    def __neg__(self) -> "LogScaledReal":
-        return LogScaledReal(-self.sign, self.log_abs)
-
-    def __abs__(self) -> "LogScaledReal":
-        return LogScaledReal(abs(self.sign), self.log_abs)
-
-    def __mul__(self, other) -> "LogScaledReal":
-        o = self._coerce(other)
-        s = self.sign * o.sign
-        if s == 0:
-            return LogScaledReal.zero()
-        return LogScaledReal(s, self.log_abs + o.log_abs)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "LogScaledReal":
-        o = self._coerce(other)
-        if o.sign == 0:
-            raise ZeroDivisionError("division by log-scaled zero")
-        if self.sign == 0:
-            return LogScaledReal.zero()
-        return LogScaledReal(self.sign * o.sign, self.log_abs - o.log_abs)
-
-    def __rtruediv__(self, other) -> "LogScaledReal":
-        return self._coerce(other) / self
-
-    def __add__(self, other) -> "LogScaledReal":
-        o = self._coerce(other)
-        if self.sign == 0:
-            return o
-        if o.sign == 0:
-            return self
-        # shift by the larger magnitude so the exp() argument is <= 0
-        if self.log_abs >= o.log_abs:
-            big, small = self, o
-        else:
-            big, small = o, self
-        d = small.log_abs - big.log_abs
-        if big.sign == small.sign:
-            return LogScaledReal(big.sign, big.log_abs + math.log1p(math.exp(d)))
-        if d == 0.0:
-            return LogScaledReal.zero()
-        return LogScaledReal(big.sign, big.log_abs + math.log1p(-math.exp(d)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LogScaledReal":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "LogScaledReal":
-        return self._coerce(other) + (-self)
-
-    def __pow__(self, p) -> "LogScaledReal":
-        p = float(p)
-        if self.sign == 0:
-            if p <= 0:
-                raise ZeroDivisionError("0 ** non-positive power")
-            return LogScaledReal.zero()
-        if self.sign < 0:
-            if p != int(p):
-                raise ValueError("fractional power of a negative value")
-            s = -1 if int(p) % 2 else 1
-            return LogScaledReal(s, self.log_abs * p)
-        return LogScaledReal(1, self.log_abs * p)
-
-    def sqrt(self) -> "LogScaledReal":
-        if self.sign < 0:
-            raise ValueError("sqrt of a negative value")
-        if self.sign == 0:
-            return LogScaledReal.zero()
-        return LogScaledReal(1, 0.5 * self.log_abs)
-
-    # -- ordering (by represented real value) ------------------------------
 
     def _key(self):
         # monotone map to a comparable tuple: sign first, then signed log

@@ -6,21 +6,18 @@ asserts.  The published five-digit reference values are pinned as data;
 everything else is recomputed on the spot.  Runtime limits are asserted
 where a criterion states one.
 
-The c = 1e5 rows carry a multi-minute budget and only run when the
-environment variable PROLATE_LARGE is set (the CLI exposes the same rows
-behind --large).
+The c = 1e5 rows (the CLI's --large) run with the rest; together they
+take a couple of seconds.
 """
 
 import math
-import os
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
-from prolate import (ProlateContext, exponent_term, g_n_value, lambda_abs,
-                     lambda_log, nu)
+from prolate import (ProlateContext, exponent_term, g_n_value, lambda_log,
+                     nu)
 from prolate.experiments import (RunConfig, experiment1, experiment3, find_n1,
                                  find_n2, principal_window,
                                  sequence_sample_grid, verify_chi_structure,
@@ -78,7 +75,7 @@ def _rel(a, b):
 
 def test_criterion_1_table1_reproduction():
     start = time.monotonic()
-    rows, _ = experiment1(RunConfig(c_list=(10.0, 1.0e2, 1.0e3, 1.0e4)))
+    rows = experiment1(RunConfig(c_list=(10.0, 1.0e2, 1.0e3, 1.0e4)))
     got = {(r["c"], r["n"]): r for r in rows}
     bad = []
     for c, n, lam_ref, mu_ref in TABLE1_ROWS:
@@ -93,11 +90,9 @@ def test_criterion_1_table1_reproduction():
     _finish(1, f"table-1 rows to 1e-4 / 5e-4 relative in {elapsed:.1f}s", bad)
 
 
-@pytest.mark.skipif(not os.environ.get("PROLATE_LARGE"),
-                    reason="c = 1e5 rows run only with PROLATE_LARGE=1")
 def test_criterion_1_table1_large():
     start = time.monotonic()
-    rows, _ = experiment1(RunConfig(c_list=(), large=True))
+    rows = experiment1(RunConfig(c_list=(), large=True))
     got = {(r["c"], r["n"]): r for r in rows}
     bad = []
     for c, n, lam_ref, mu_ref in TABLE1_LARGE_ROWS:
@@ -138,8 +133,6 @@ def test_criterion_2_table2_reproduction():
     _finish(2, f"table-2 thresholds exact (1e4 within 1) in {elapsed:.1f}s", bad)
 
 
-@pytest.mark.skipif(not os.environ.get("PROLATE_LARGE"),
-                    reason="c = 1e5 rows run only with PROLATE_LARGE=1")
 def test_table2_large():
     start = time.monotonic()
     ctx = ProlateContext(1.0e5)
@@ -243,14 +236,14 @@ def test_criterion_10_nu_suite():
     for c, n, lam_ref, _ in TABLE1_ROWS:
         if c <= 1.0e3:
             ctx = ProlateContext(c)
-            if not lambda_abs(ctx, n) <= nu(n, c):
+            if not lambda_log(ctx, n) <= nu(n, c):
                 bad.append(("dominance", c, n))
             checked += 1
     for c in (1.0e2, 5.0e2):
         ctx = ProlateContext(c)
         for n in range(int(math.ceil(2 * c / math.pi)),
                        int(math.ceil((2 / math.pi + 1 / 25) * c))):
-            if not lambda_abs(ctx, n) <= nu(n, c):
+            if not lambda_log(ctx, n) <= nu(n, c):
                 bad.append(("dominance", c, n))
             checked += 1
     for c in (10.0, 100.0, 1000.0):

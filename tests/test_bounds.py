@@ -5,9 +5,9 @@ import pytest
 
 from prolate import (HypothesisViolated, ProlateContext, aux_f, aux_G, aux_H,
                      bound_report, chi_lower, chi_upper, delta_of_n, eta,
-                     exponent_term, k0, lambda_abs, lambda_chi_bound,
-                     lambda_log, nu, p0, report_delta, xi, xi_threshold,
-                     xi_value, zeta, zeta_hypothesis)
+                     exponent_term, k0, lambda_chi_bound, lambda_log, nu,
+                     p0, report_delta, xi, xi_threshold, xi_value, zeta,
+                     zeta_hypothesis)
 from prolate import bounds
 from prolate.bounds import BoundReport, _brentq
 from scipy.integrate import quad
@@ -39,7 +39,7 @@ def test_nu_not_small_before_the_plunge():
 
 def test_nu_dominates_lambda(ctx10):
     for n in range(0, 30, 3):
-        assert lambda_abs(ctx10, n) <= nu(n, 10.0)
+        assert lambda_log(ctx10, n) <= nu(n, 10.0)
 
 
 def test_nu_validation():

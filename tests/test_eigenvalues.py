@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from prolate import (MatchFailure, ProlateContext, ResolutionLoss,
-                     count_above, eigenvalue_record, lambda_abs,
+                     bound_report, count_above, eigenvalue_record,
                      lambda_direct, lambda_log, lambda_odd,
                      lambda_quadrature, mu)
 from prolate import eigenvalues
 from prolate.eigenvalues import _two_sided_profile
+from prolate.experiments import TABLE_C, table1_indices
 from prolate.spectrum import build_matrix
 
 # published eigenvalue magnitudes at desk scale (five significant digits)
@@ -30,6 +31,33 @@ def test_pinned_magnitudes(c, n, lam_ref, mu_ref):
     assert rec.mu.to_float() == pytest.approx(mu_ref, rel=5e-4)
 
 
+# table1's default rows, plus an even and an odd index in the bulk at two c
+ROUTE_ROWS = [(c, n) for c in TABLE_C for n in table1_indices(c)] \
+    + [(100.0, 40), (100.0, 41), (1000.0, 500), (1000.0, 501)]
+
+
+@pytest.fixture(scope="module")
+def table_contexts():
+    return {c: ProlateContext(c) for c in TABLE_C}
+
+
+@pytest.mark.parametrize("c,n", ROUTE_ROWS)
+def test_records_and_reports_carry_the_log_route(c, n, table_contexts):
+    ctx = table_contexts[c]
+    lam = lambda_log(ctx, n)
+    assert eigenvalue_record(ctx, n).lambda_abs == lam
+    assert bound_report(ctx, n).lambda_abs == lam
+
+
+@pytest.mark.parametrize("c,n", ROUTE_ROWS)
+def test_log_route_prints_the_eigenvector_route_digits(c, n, table_contexts):
+    # the direct and odd formulas are oracles for the printed five digits
+    ctx = table_contexts[c]
+    oracle = lambda_direct if n % 2 == 0 else lambda_odd
+    assert f"{lambda_log(ctx, n).to_float():.5e}" \
+        == f"{oracle(ctx.mode(n)).to_float():.5e}"
+
+
 def test_parity_dispatch(ctx10):
     with pytest.raises(ValueError):
         lambda_direct(ctx10.mode(3))
@@ -41,7 +69,7 @@ def test_resolution_loss_deep_tail(ctx10):
     # by n = 40 at c = 10 the magnitude is ~e^-80: invisible to doubles
     with pytest.raises(ResolutionLoss):
         lambda_direct(ctx10.mode(40))
-    assert lambda_abs(ctx10, 40).log_abs < -60
+    assert lambda_log(ctx10, 40).log_abs < -60
 
 
 def test_quadrature_route_even(ctx10):
@@ -296,7 +324,7 @@ def test_plunge_profile_tracks_log_odds(ctx100):
 
 
 def test_monotone_decay(ctx10):
-    vals = [lambda_abs(ctx10, n).log_abs for n in range(20)]
+    vals = [lambda_log(ctx10, n).log_abs for n in range(20)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import prolate.spectrum as spectrum
-from prolate import ProlateContext
+from prolate import ProlateContext, lambda_log
 from prolate.experiments import (EXP3_HEADER, FIGURE_HEADER, TABLE1_HEADER,
                                  TABLE2_HEADER, RunConfig, ThresholdRecord,
                                  decay_figure_rows, exp3_n_max, experiment1,
@@ -24,7 +24,7 @@ def test_table1_indices_match_published_rows():
 
 def test_experiment1_small():
     cfg = RunConfig(c_list=(10.0,))
-    rows, sweep = experiment1(cfg)
+    rows = experiment1(cfg)
     assert [r["n"] for r in rows] == [0, 3, 6]
     r0 = rows[0]
     assert r0["abs_lambda"] == pytest.approx(0.79267, rel=1e-4)
@@ -34,15 +34,13 @@ def test_experiment1_small():
     for r in rows:
         assert r["mu"] == pytest.approx(
             r["c"] / (2 * math.pi) * r["abs_lambda"] ** 2, rel=1e-12)
-    assert sweep == []          # the c=100 sweep only runs when 100 is listed
 
 
-def test_experiment1_sweep_present():
-    cfg = RunConfig(c_list=(100.0,))
-    rows, sweep = experiment1(cfg)
-    assert len(sweep) == int(2 * 100.0 / math.pi) + 1
-    assert [r["n"] for r in sweep] == list(range(64))
-    lams = [r["abs_lambda"] for r in sweep]
+def test_lambda_flat_then_falling_up_to_the_band_edge(ctx100):
+    # every index 0 <= n <= 2c/pi at c = 100
+    top = int(2 * 100.0 / math.pi)
+    lams = [lambda_log(ctx100, n).to_float() for n in range(top + 1)]
+    assert len(lams) == 64
     # before the plunge the decay per index is far below double resolution,
     # so allow rounding-level jitter on the flat part
     assert all(b <= a * (1 + 1e-12) for a, b in zip(lams, lams[1:]))
@@ -125,7 +123,7 @@ def test_experiment1_isolates_row_failures():
     # the c=100 rows must fail row-by-row without poisoning the c=10 ones
     from prolate.experiments import failed_rows
     cfg = RunConfig(c_list=(10.0, 100.0), truncation_dim=40)
-    rows, _ = experiment1(cfg)
+    rows = experiment1(cfg)
     assert len(rows) == 6
     bad = failed_rows(rows)
     assert {r["c"] for r in bad} == {100.0}
@@ -163,8 +161,8 @@ def test_hg_suite_small_grid():
 
 def test_csv_rendering_is_stable():
     cfg = RunConfig(c_list=(10.0,))
-    rows_a, _ = experiment1(cfg)
-    rows_b, _ = experiment1(RunConfig(c_list=(10.0,)))
+    rows_a = experiment1(cfg)
+    rows_b = experiment1(RunConfig(c_list=(10.0,)))
     text_a = rows_to_csv(rows_a, TABLE1_HEADER)
     text_b = rows_to_csv(rows_b, TABLE1_HEADER)
     assert text_a == text_b

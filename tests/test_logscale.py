@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -14,41 +15,17 @@ finite = st.floats(min_value=-1e300, max_value=1e300,
 nonzero = finite.filter(lambda x: abs(x) > 1e-300)
 
 
+@example(-3.0)
+@example(4.0)
 @given(nonzero)
 def test_round_trip(x):
-    # exp(log(x)) loses ~|log x| ulps, so the tolerance scales with the range
-    y = LogScaledReal.from_float(x).to_float()
-    assert y == pytest.approx(x, rel=1e-12)
-
-
-@given(nonzero, nonzero)
-def test_multiplication_adds_logs(a, b):
-    la, lb = LogScaledReal.from_float(a), LogScaledReal.from_float(b)
-    prod = la * lb
-    assert prod.log_abs == pytest.approx(la.log_abs + lb.log_abs, abs=1e-12)
-    assert prod.sign == la.sign * lb.sign
-
-
-@example(5.722058362449765e16, -5.6928098323490904e16)   # sum 196x below a
-@given(st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
-       st.floats(min_value=-1e150, max_value=1e150, allow_nan=False))
-def test_addition_matches_floats(a, b):
-    # the error contract of the LogScaledReal docstring: absolute in the
-    # operands, so a sum that cancels is not held to a relative tolerance
-    s = (LogScaledReal.from_float(a) + LogScaledReal.from_float(b)).to_float()
-    big = max(abs(a), abs(b))
-    if big == 0.0:
-        assert s == 0.0
-        return
-    err = abs(math.fsum([s, -a, -b]))
-    bound = 9 * EPS * (abs(a) + abs(b)) * (1.0 + abs(math.log(big)))
-    assert err <= bound + math.ulp(0.0)
-
-
-@given(nonzero)
-def test_self_subtraction_is_zero(x):
     v = LogScaledReal.from_float(x)
-    assert (v - v).is_zero()
+    assert v.sign == (1 if x > 0 else -1)
+    assert v.log_abs == math.log(abs(x))
+    # exp(log(x)) loses ~|log x| ulps, so the tolerance scales with the range
+    y = v.to_float()
+    assert y == pytest.approx(x, rel=1e-12)
+    assert float(v) == y
 
 
 @example(-9.999999999999198e299, -9.999999999999196e299)   # equal logs
@@ -59,18 +36,32 @@ def test_ordering_matches_floats(a, b):
     la, lb = LogScaledReal.from_float(a), LogScaledReal.from_float(b)
     assert (la < lb) != (la >= lb)
     assert (la < lb) == (lb > la) and (la >= lb) == (lb <= la)
+    # a plain float compares as its from_float value
+    assert (la < b, la <= b, la > b, la >= b) == (la < lb, la <= lb, la > lb, la >= lb)
     big = max(abs(a), abs(b))
     if abs(a - b) > 4 * EPS * big * (1.0 + abs(math.log(big))):
         assert (la < lb) == (a < b)
         assert (la >= lb) == (a >= b)
 
 
-@given(st.floats(min_value=-600.0, max_value=600.0, allow_nan=False))
+@example(-5000.0)
+@example(709.5)                 # exp(709.5) is still a finite double
+@example(-125.0)
+@example(125.0)
+@given(st.floats(min_value=-6000.0, max_value=6000.0, allow_nan=False))
 def test_from_log_beyond_double_range(log_abs):
     v = LogScaledReal.from_log(log_abs)
     assert v.sign == 1
     assert v.log_abs == log_abs
-    assert (v * v).log_abs == pytest.approx(2 * log_abs)
+    assert LogScaledReal.from_log(log_abs, sign=-1) < v < LogScaledReal.from_log(log_abs + 1.0)
+    # read back as the nearest double: 0.0 below the subnormals, inf above
+    # the largest double
+    if log_abs < -746.0:
+        assert v.to_float() == 0.0
+    elif log_abs > math.log(sys.float_info.max):
+        assert v.to_float() == math.inf
+    else:
+        assert v.to_float() == math.exp(log_abs)
 
 
 @settings(max_examples=30)
@@ -86,49 +77,33 @@ def test_signed_log_sum_matches_float_sum(xs):
         assert total.to_float() == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
-def test_extreme_magnitudes_survive_arithmetic():
-    tiny = LogScaledReal.from_log(-125.0)           # ~e^-125
-    huge = LogScaledReal.from_log(125.0)
-    assert (tiny * huge).to_float() == pytest.approx(1.0)
-    assert (tiny / huge).log_abs == pytest.approx(-250.0)
-    deep = LogScaledReal.from_log(-5000.0)          # far below double underflow
-    assert deep.to_float() == 0.0
-    assert (deep ** 2).log_abs == pytest.approx(-10000.0)
-
-
 def test_zero_handling():
     z = LogScaledReal.zero()
-    one = LogScaledReal.one()
     assert z.is_zero() and z.to_float() == 0.0
-    assert (z + one).to_float() == 1.0
-    assert (z * one).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        one / z
+    assert z == LogScaledReal.from_float(0.0) == LogScaledReal.from_log(-math.inf)
+    assert LogScaledReal.from_log(3.0, sign=0) == z
+    # zero orders between every negative and every positive value
+    assert LogScaledReal.from_log(-5000.0, sign=-1) < z < LogScaledReal.from_log(-5000.0)
+    assert z <= 0.0 and z >= 0.0 and not z < 0.0
     with pytest.raises(ValueError):
-        z.log()
-
-
-def test_negative_values():
-    v = LogScaledReal.from_float(-3.0)
-    assert v.sign == -1
-    assert abs(v).to_float() == pytest.approx(3.0)
-    assert (-v).to_float() == pytest.approx(3.0)
-    assert (v ** 2).to_float() == pytest.approx(9.0)
-    assert (v ** 3).to_float() == pytest.approx(-27.0)
+        LogScaledReal.from_log(1.0, sign=2)
     with pytest.raises(ValueError):
-        v ** 0.5
-    with pytest.raises(ValueError):
-        v.sqrt()
+        LogScaledReal.from_float(math.nan)
 
 
-def test_mixed_scalar_arithmetic():
+def test_fixed_values_read_back_and_order():
+    tiny = LogScaledReal.from_log(-125.0)           # ~e^-125
+    huge = LogScaledReal.from_log(125.0)
+    assert tiny.to_float() == pytest.approx(math.exp(-125.0))
+    assert tiny < 1.0 < huge
+    deep = LogScaledReal.from_log(-5000.0)          # far below double underflow
+    assert deep.to_float() == 0.0
+    assert 0.0 < deep < tiny
+    neg = LogScaledReal.from_float(-3.0)
+    assert neg.sign == -1 and neg.to_float() == pytest.approx(-3.0)
+    assert neg < -2.9999 and neg < deep
     v = LogScaledReal.from_float(4.0)
-    assert (v * 2.0).to_float() == pytest.approx(8.0)
-    assert (2.0 * v).to_float() == pytest.approx(8.0)
-    assert (v - 1.0).to_float() == pytest.approx(3.0)
-    assert (1.0 - v).to_float() == pytest.approx(-3.0)
-    assert (1.0 / v).to_float() == pytest.approx(0.25)
-    assert v.sqrt().to_float() == pytest.approx(2.0)
+    assert v.to_float() == pytest.approx(4.0)
     assert v > 3.9999
 
 
