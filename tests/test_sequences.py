@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from prolate import (ProlateContext, exponent_term, g_n_value,
+from prolate import (LogScaledReal, ProlateContext, exponent_term, g_n_value,
                      lambda_gamma_bound, lambda_log, product_lower_bound,
-                     trace, zeta)
+                     signed_log_sum, trace, zeta)
 from prolate.sequences import (a_new, a_tilde, b_chi, b_one, b_two, big_a,
                                big_b, f_seq, rho_seq)
 
@@ -251,6 +251,66 @@ def _oracle_logs(c, chi, K, digits=50):
                                   ("beta_new", beta_new), ("gamma", gamma))}
         logs["r"] = [float(gamma[k + 1] / gamma[k]) for k in range(1, K)]
         return logs
+
+
+def _lin(*terms):
+    """sum coef * x over (float coef, LogScaledReal x) pairs, in sign/log form."""
+    signs = [(0 if coef == 0.0 else int(math.copysign(1, coef))) * x.sign
+             for coef, x in terms]
+    logs = [math.log(abs(coef)) + x.log_abs if coef != 0.0 else -math.inf
+            for coef, x in terms]
+    return signed_log_sum(signs, logs)
+
+
+def _reference_trace(c, chi, K):
+    """The trace recurrences stepped one term at a time in sign/log form.
+
+    An independent check on the scaled-float trace; returns alpha, beta,
+    beta_new, gamma (lists with [0] unused) and the ratios r.
+    """
+    alpha = [None] * (K + 1)
+    alpha[1] = LogScaledReal.from_float(1.0)
+    alpha[2] = LogScaledReal.from_float(big_b(0, c, chi))
+    for k in range(1, K - 1):
+        alpha[k + 2] = _lin((big_b(k, c, chi), alpha[k + 1]), (-big_a(k), alpha[k]))
+    beta = [None] + [_lin((math.sqrt(2.0 / (4 * k - 3)), alpha[k]))
+                     for k in range(1, K + 1)]
+    beta_new = [None] + beta[1:4] + [None] * (K - 3)
+    for k in range(2, K - 1):
+        step = _lin((1.0, beta_new[k + 1]), (-1.0, beta_new[k]))
+        beta_new[k + 2] = _lin((b_chi(k, c, chi) + 1.0, beta_new[k + 1]),
+                               (a_new(k), step))
+    v2 = (chi - c * c) / (c * c)
+    gamma = [None] * (K + 1)
+    gamma[1] = LogScaledReal.from_float(math.sqrt(2.0))
+    gamma[2] = LogScaledReal.from_float(8.0 / (7.0 * math.sqrt(2.0)) * (2.0 + 3.0 * v2))
+    gamma[3] = LogScaledReal.from_float(
+        16.0 * math.sqrt(2.0) / 11.0
+        * (3.0 + 15.0 * v2 + (105.0 / 8.0) * v2 * (chi - c * c - 6.0) / (c * c)
+           - 105.0 / (2.0 * c * c)))
+    for k in range(2, K - 1):
+        gamma[k + 2] = _lin((b_one(k, c, chi) + b_two(k), gamma[k + 1]),
+                            (-1.0, gamma[k]))
+    r = [gamma[k + 1].sign * gamma[k].sign
+         * math.exp(gamma[k + 1].log_abs - gamma[k].log_abs)
+         for k in range(1, K)]
+    return alpha, beta, beta_new, gamma, r
+
+
+@pytest.mark.parametrize("c,n,chi", [(100.0, 80, None)])
+def test_trace_matches_log_scaled_reference(c, n, chi, ctx100):
+    if chi is None:
+        chi = ctx100.chi(n)
+    tr = trace(c, n, chi)
+    alpha, beta, beta_new, gamma, r = _reference_trace(c, chi, tr.K)
+    for name, ref in (("alpha", alpha), ("beta", beta),
+                      ("beta_new", beta_new), ("gamma", gamma)):
+        seq = getattr(tr, name)
+        assert len(seq) == tr.K + 1 and seq[0].is_zero()
+        for k in range(1, tr.K + 1):
+            assert seq[k].sign == ref[k].sign, (name, k)
+            assert abs(seq[k].log_abs - ref[k].log_abs) < 1e-10, (name, k)
+    np.testing.assert_allclose(tr.r[1:tr.K], r, rtol=1e-10)
 
 
 ALL = ("alpha", "beta", "beta_new", "gamma", "r")
