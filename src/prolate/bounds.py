@@ -232,14 +232,18 @@ def aux_G(x: float) -> float:
 
 # -- depth parameter and turning index ---------------------------------------
 
+def delta_defined(n: int, c: float) -> bool:
+    """Whether delta(n) exists: 2c/pi < n < 10c/pi."""
+    return 2.0 * c / math.pi < n < 10.0 * c / math.pi
+
+
 def delta_of_n(n: int, c: float) -> float:
     """Depth delta(n): the root X of n = 2c/pi + (2/pi^2) X log(4 e pi c / X).
 
     Unique on (0, 4 pi c) because the right side increases there; defined
-    for 2c/pi < n < 10c/pi.
+    where delta_defined(n, c) holds.
     """
-    lo_n, hi_n = 2.0 * c / math.pi, 10.0 * c / math.pi
-    if not lo_n < n < hi_n:
+    if not delta_defined(n, c):
         raise ValueError(f"delta(n) needs 2c/pi < n < 10c/pi, got n = {n}")
 
     def g(x):
@@ -250,18 +254,18 @@ def delta_of_n(n: int, c: float) -> float:
     return float(root)
 
 
-def report_delta(n: int, c: float) -> float | None:
-    """delta(n) clamped into the open interval (3, pi c / 16) for reports.
+def clamp_delta(delta: float, c: float) -> float:
+    """delta clamped into the open interval (3, pi c / 16) of xi's hypothesis.
 
     Clamping keeps the n-threshold clause satisfied whenever the raw
     delta(n) exceeds the cap, because the threshold increases with delta.
-    Returns None when n is outside the range where delta(n) is defined.
     """
-    lo_n, hi_n = 2.0 * c / math.pi, 10.0 * c / math.pi
-    if not lo_n < n < hi_n:
-        return None
-    raw = delta_of_n(n, c)
-    return min(max(raw, 3.0 + 1e-9), math.pi * c / 16.0 - 1e-9)
+    return min(max(delta, 3.0 + 1e-9), math.pi * c / 16.0 - 1e-9)
+
+
+def report_delta(n: int, c: float) -> float | None:
+    """clamp_delta(delta(n)), or None where delta(n) is not defined."""
+    return clamp_delta(delta_of_n(n, c), c) if delta_defined(n, c) else None
 
 
 def k0(c: float, chi: float) -> int:
@@ -339,19 +343,20 @@ def bound_report(ctx: ProlateContext, n: int, delta: float | None = None) -> Bou
         eta_v = eta(n, c, chi_val)
         p0_v = p0(n, c, chi_val)
 
-    delta_used = report_delta(n, c) if delta is None else delta
-    delta_raw = None
-    if 2.0 * c / math.pi < n < 10.0 * c / math.pi:
-        delta_raw = delta_of_n(n, c)
+    delta_raw = delta_of_n(n, c) if delta_defined(n, c) else None
+    if delta is None and delta_raw is not None:
+        delta = clamp_delta(delta_raw, c)
     xi_ok = False
-    if delta_used is not None:
-        xi_v = xi_value(c, delta_used)
-        xi_ok = (c > 22.0 and 3.0 < delta_used < math.pi * c / 16.0
-                 and n >= xi_threshold(c, delta_used))
+    if delta is not None:
+        try:
+            xi_v, xi_ok = xi(n, c, delta), True
+        except HypothesisViolated:
+            xi_v = xi_value(c, delta)
 
+    zeta_ok = zeta_hypothesis(m)
     flags = {
-        "zeta": zeta_hypothesis(m),
-        "eta": m.parity == 0 and chi_val > c * c + 42.0,
+        "zeta": zeta_ok,
+        "eta": zeta_ok,
         "xi": xi_ok,
         "nu": True,
         "p0": above_c2,

@@ -23,13 +23,11 @@ from .experiments import (EXP3_HEADER, FIGURE_HEADER, TABLE1_HEADER,
                           TABLE2_HEADER, VERIFY_HEADER, RunConfig,
                           decay_figure_rows, experiment1, experiment2,
                           experiment3, failed_rows, rows_to_csv, rows_to_json,
-                          threshold_records_to_rows, verify_all)
+                          verify_all)
 from .spectrum import ProlateContext, TruncationNotConverged
 
 
 _FORMATS = ("csv", "json")
-# the commands whose default band limits --large extends
-_LARGE_COMMANDS = ("table1", "table2", "figures", "experiment3")
 # below this band limit the log route's forward/backward match fails even at
 # small n (at c = 0.05 and 0.01 for n = 12), so the commands refuse it as a
 # configuration error; the same check rejects zero, negative and non-finite
@@ -84,12 +82,6 @@ def _add_common(sub):
                      help="comma-separated band limits")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
-    sub.add_argument("--large", action="store_true",
-                     help="include c = 1e5 (table1, table2, figures and "
-                          "experiment3 only)")
-    sub.add_argument("--truncation-dim", type=int, default=None, metavar="N",
-                     help="pin the matrix dimension (2 to 1048576) instead of "
-                          "sizing it from the coefficient decay")
 
 
 def build_parser():
@@ -108,6 +100,16 @@ def build_parser():
                        ("report", "full bound report at given (c, n)")):
         sub = subs.add_parser(name, help=desc)
         _add_common(sub)
+        # --large extends the default band limits of the four experiment
+        # commands; verify builds its own contexts, which a pinned
+        # dimension would never reach
+        if name not in ("verify", "report"):
+            sub.add_argument("--large", action="store_true",
+                             help="include c = 1e5")
+        if name != "verify":
+            sub.add_argument("--truncation-dim", type=int, default=None, metavar="N",
+                             help="pin the matrix dimension (2 to 1048576) instead "
+                                  "of sizing it from the coefficient decay")
         if name == "table2":
             sub.add_argument("--eps", type=_parse_eps_list, default=None,
                              help="targets, e.g. 'e-50,e-100' or plain floats")
@@ -210,8 +212,8 @@ def _config_from_args(args, default_c):
     return RunConfig(
         c_list=c_list,
         eps_logs=getattr(args, "eps", None) or RunConfig.eps_logs,
-        truncation_dim=args.truncation_dim,
-        large=args.large,
+        truncation_dim=getattr(args, "truncation_dim", None),
+        large=getattr(args, "large", False),
     )
 
 
@@ -221,9 +223,6 @@ def main(argv=None) -> int:
     args = _apply_config(args, parser)
     args.fmt = args.fmt or "csv"
     try:
-        if args.large and args.command not in _LARGE_COMMANDS:
-            raise ValueError(f"--large does not apply to {args.command}; it "
-                             f"extends only {', '.join(_LARGE_COMMANDS)}")
         if args.command == "table1":
             cfg = _config_from_args(args, RunConfig.c_list)
             rows = experiment1(cfg)
@@ -235,8 +234,7 @@ def main(argv=None) -> int:
                 return 3
         elif args.command == "table2":
             cfg = _config_from_args(args, (10.0, 1.0e2, 1.0e3, 1.0e4))
-            records = experiment2(cfg)
-            _emit(threshold_records_to_rows(records), TABLE2_HEADER, args)
+            _emit(experiment2(cfg), TABLE2_HEADER, args)
         elif args.command == "figures":
             cfg = _config_from_args(args, (100.0,))
             rows = []

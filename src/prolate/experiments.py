@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (aux_f, aux_G, aux_H, delta_of_n, eta, nu, report_delta,
-                     xi_threshold, xi_value, zeta)
+from .bounds import (HypothesisViolated, aux_f, aux_G, aux_H, clamp_delta,
+                     delta_defined, delta_of_n, eta, nu, xi, xi_threshold,
+                     xi_value, zeta)
 from .eigenvalues import (MatchFailure, ResolutionLoss, eigenvalue_record,
                           lambda_direct, lambda_log, lambda_odd,
                           lambda_quadrature)
@@ -56,20 +57,10 @@ class RunConfig:
         return [ProlateContext(c, truncation_dim=self.truncation_dim) for c in cs]
 
 
-@dataclass(frozen=True)
-class ThresholdRecord:
-    """One row of the threshold table for a (eps, c) pair."""
-
-    eps_log: float
-    c: float
-    n1: int
-    delta1: float
-    n2: int
-    delta2: float
-
-    @property
-    def n2_minus_n1(self) -> int:
-        return self.n2 - self.n1
+def _first_even_above(x: float) -> int:
+    """Smallest even integer strictly above x >= 0."""
+    n = int(x) + 1
+    return n + n % 2
 
 
 # -- experiment 1 ------------------------------------------------------------
@@ -105,62 +96,51 @@ def experiment1(cfg: RunConfig):
 
 # -- experiment 2 ------------------------------------------------------------
 
-def find_n1(ctx: ProlateContext, eps_log: float) -> int:
-    """Smallest n > 2c/pi with log|lambda_n| < eps_log, by bisection.
+def _threshold_scan(below, start: int, step: int, width: int, what: str) -> int:
+    """Smallest n = start + k step, k >= 1, at which below(n) holds.
 
-    Bisection is justified by strict monotone decay of |lambda_n|; the
-    returned index is re-verified against both neighbors.
+    The bracket 0 < k <= width widens by at least 40 indices, or half its
+    length, until below holds at its top; bisection on k then narrows it.
+    Bisection is justified by the monotone decay of the scanned quantity;
+    the returned index is re-verified against its lower neighbor.
     """
-    c = ctx.c
-    lo = int(2.0 * c / math.pi) + 1
+    def at(k):
+        return below(start + step * k)
 
-    def below(n):
-        return lambda_log(ctx, n).log_abs < eps_log
-
-    if below(lo):
-        raise RuntimeError("eigenvalue already below target at the window start")
-    hi = lo + max(40, int(5.0 - eps_log / 4.0 * math.log(c + 2.0)))
-    while not below(hi):
-        hi += max(40, (hi - lo) // 2)
+    if at(0):
+        raise RuntimeError(f"{what} already below target at the window start")
+    lo, hi = 0, width
+    while not at(hi):
+        hi += max(40 // step, hi // 2)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if below(mid):
+        if at(mid):
             hi = mid
         else:
             lo = mid
-    if not (below(hi) and not below(hi - 1)):
+    if not (at(hi) and not at(hi - 1)):
         raise RuntimeError("threshold scan failed its neighbor check")
-    return hi
+    return start + step * hi
+
+
+def find_n1(ctx: ProlateContext, eps_log: float) -> int:
+    """Smallest n > 2c/pi with log|lambda_n| < eps_log."""
+    c = ctx.c
+    width = max(40, int(5.0 - eps_log / 4.0 * math.log(c + 2.0)))
+    return _threshold_scan(lambda n: lambda_log(ctx, n).log_abs < eps_log,
+                           int(2.0 * c / math.pi) + 1, 1, width, "eigenvalue")
 
 
 def find_n2(ctx: ProlateContext, eps_log: float) -> int:
     """Smallest even n > 2c/pi with log zeta(n, c) < eps_log."""
     c = ctx.c
-    first = int(2.0 * c / math.pi) + 1
-    if first % 2:
-        first += 1
-
-    def below(n):
-        return zeta(ctx.mode(n)).log_abs < eps_log
-
-    if below(first):
-        raise RuntimeError("bound already below target at the window start")
-    lo, hi = first, first + 2 * max(20, int(3.0 - eps_log / 8.0 * math.log(c + 2.0)))
-    while not below(hi):
-        hi += 2 * max(20, (hi - lo) // 4)
-    while hi - lo > 2:
-        mid = lo + 2 * ((hi - lo) // 4)
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    if not (below(hi) and not below(hi - 2)):
-        raise RuntimeError("threshold scan failed its neighbor check")
-    return hi
+    width = max(20, int(3.0 - eps_log / 8.0 * math.log(c + 2.0)))
+    return _threshold_scan(lambda n: zeta(ctx.mode(n)).log_abs < eps_log,
+                           _first_even_above(2.0 * c / math.pi), 2, width, "bound")
 
 
 def experiment2(cfg: RunConfig):
-    """Threshold records, one per (eps, c) pair, eps-major.
+    """Threshold rows, one per (eps, c) pair, eps-major.
 
     Each scan solves only the indices its bisection visits; the decay
     curves over the window are decay_figure_rows, not part of this result.
@@ -172,8 +152,10 @@ def experiment2(cfg: RunConfig):
         n1 = find_n1(ctx, eps_log)
         n2 = find_n2(ctx, eps_log)
         logc = math.log(c)
-        return ThresholdRecord(eps_log, c, n1, (n1 - 2.0 * c / math.pi) / logc,
-                               n2, (n2 - 2.0 * c / math.pi) / logc)
+        return {"eps": f"e{eps_log:g}", "c": c,
+                "n1": n1, "delta1": (n1 - 2.0 * c / math.pi) / logc,
+                "n2": n2, "delta2": (n2 - 2.0 * c / math.pi) / logc,
+                "n2_minus_n1": n2 - n1}
 
     return [one(ctx, e) for e in cfg.eps_logs for ctx in contexts]
 
@@ -185,9 +167,7 @@ def decay_figure_rows(ctx: ProlateContext):
     2c/pi + 20 log c.
     """
     c = ctx.c
-    lo = int(2.0 * c / math.pi) + 1
-    if lo % 2:
-        lo += 1
+    lo = _first_even_above(2.0 * c / math.pi)
     hi = 2.0 * c / math.pi + 20.0 * math.log(c)
 
     return [{
@@ -202,11 +182,7 @@ def decay_figure_rows(ctx: ProlateContext):
 
 def exp3_n_max(c: float) -> int:
     """Minimal even integer beyond the depth-150 admission threshold."""
-    t = xi_threshold(c, 150.0)
-    n = int(t) + 1
-    if n % 2:
-        n += 1
-    return n
+    return _first_even_above(xi_threshold(c, 150.0))
 
 
 def experiment3(cfg: RunConfig):
@@ -216,12 +192,7 @@ def experiment3(cfg: RunConfig):
         c = ctx.c
         if c <= 22.0:
             raise ValueError("experiment 3 requires c > 22")
-        lo = int(2.0 * c / math.pi) + 1
-        if lo % 2:
-            lo += 1
-        n_max = exp3_n_max(c)
-
-        for n in range(lo, n_max, 2):
+        for n in range(_first_even_above(2.0 * c / math.pi), exp3_n_max(c), 2):
             row = {"c": c, "n": n, "log_abs_lambda": None, "neg_delta": None,
                    "log_zeta": None, "log_xi": None, "ordered": False}
             try:
@@ -229,7 +200,7 @@ def experiment3(cfg: RunConfig):
                 log_lam = lambda_log(ctx, n).log_abs
                 d = delta_of_n(n, c)
                 log_zeta = zeta(m).log_abs
-                log_xi = xi_value(c, report_delta(n, c)).log_abs
+                log_xi = xi_value(c, clamp_delta(d, c)).log_abs
                 row.update(log_abs_lambda=log_lam, neg_delta=-d,
                            log_zeta=log_zeta, log_xi=log_xi,
                            ordered=log_lam < -d < log_zeta < log_xi)
@@ -278,9 +249,7 @@ def verify_chi_structure(c_list=(10.0, 100.0, 1000.0), n_extra=50,
 
         if chi_perturbation == 1.0:
             recip_ok, recip_bad = True, None
-            first_even = int(2.0 * c / math.pi) + 1
-            first_even += first_even % 2
-            for n in range(first_even, n_top + 1, 2):
+            for n in range(_first_even_above(2.0 * c / math.pi), n_top + 1, 2):
                 m = ctx.mode(n)
                 if m.chi > c2 and not 1.0 / abs(m.psi_at_zero) <= 4.0 * math.sqrt(n * m.chi / c2):
                     recip_ok, recip_bad = False, n
@@ -341,10 +310,8 @@ def verify_route_agreement(samples=None, seed=20250808):
 
 def principal_window(c: float):
     """Even indices with 2c/pi + sqrt(42) < n < 2c/pi + 20 log(c)."""
-    lo = 2.0 * c / math.pi + math.sqrt(42.0)
+    start = _first_even_above(2.0 * c / math.pi + math.sqrt(42.0))
     hi = 2.0 * c / math.pi + 20.0 * math.log(c)
-    start = int(lo) + 1
-    start += start % 2
     return range(start, int(math.ceil(hi)), 2)
 
 
@@ -362,12 +329,13 @@ def verify_principal_chain(c_list=(10.0, 100.0, 1000.0)):
                                  f"{lam.log_abs:.3f} vs {z.log_abs:.3f}"))
             checks.append(_check("principal", "zeta_below_eta", c, n, z < e,
                                  f"{z.log_abs:.3f} vs {e.log_abs:.3f}"))
-            if c > 22.0 and 2.0 * c / math.pi < n < 10.0 * c / math.pi:
-                d = delta_of_n(n, c)
-                if 3.0 < d < math.pi * c / 16.0 and n >= xi_threshold(c, d):
-                    x = xi_value(c, d)
-                    checks.append(_check("principal", "lambda_below_xi", c, n,
-                                         lam < x, f"{lam.log_abs:.3f} vs {x.log_abs:.3f}"))
+            if delta_defined(n, c):
+                try:
+                    x = xi(n, c, delta_of_n(n, c))
+                except HypothesisViolated:
+                    continue
+                checks.append(_check("principal", "lambda_below_xi", c, n,
+                                     lam < x, f"{lam.log_abs:.3f} vs {x.log_abs:.3f}"))
     return checks
 
 
@@ -378,9 +346,9 @@ def sequence_sample_grid(count=30, seed=20250808):
     samples = []
     per = max(1, count // len(c_pool))
     for c in c_pool:
-        lo = 2.0 * c / math.pi + math.sqrt(42.0)
+        lo = _first_even_above(2.0 * c / math.pi + math.sqrt(42.0))
         hi = 2.0 * c / math.pi + 24.0 * math.log(c)
-        evens = np.arange(int(lo) + 1 + (int(lo) + 1) % 2, int(hi), 2)
+        evens = np.arange(lo, int(hi), 2)
         take = rng.choice(evens, size=min(per, evens.size), replace=False)
         samples.extend((c, int(n)) for n in sorted(take))
     return samples[:count]
@@ -543,7 +511,6 @@ _FLOAT_FORMATS = {
     "log_zeta": "{:.6f}",
     "log_xi": "{:.6f}",
     "neg_delta": "{:.6f}",
-    "eps_log": "{:.1f}",
     "c": "{:g}",
 }
 
@@ -570,18 +537,6 @@ def rows_to_csv(rows, header) -> str:
 def rows_to_json(rows, header) -> str:
     trimmed = [{k: row.get(k) for k in header} for row in rows]
     return json.dumps(trimmed, indent=1, sort_keys=True) + "\n"
-
-
-def threshold_records_to_rows(records):
-    return [{
-        "eps": f"e{r.eps_log:g}",
-        "c": r.c,
-        "n1": r.n1,
-        "delta1": r.delta1,
-        "n2": r.n2,
-        "delta2": r.delta2,
-        "n2_minus_n1": r.n2_minus_n1,
-    } for r in records]
 
 
 def failed_rows(rows):

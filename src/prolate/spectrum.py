@@ -140,8 +140,7 @@ class ProlateContext:
     shared across threads.
     """
 
-    def __init__(self, c: float, truncation_dim: int | None = None,
-                 chi_rtol: float = CHI_RTOL, tail_rtol: float = TAIL_RTOL):
+    def __init__(self, c: float, truncation_dim: int | None = None):
         if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
             raise ValueError("band limit c must be a positive finite number")
         if c * c < sys.float_info.min:
@@ -154,8 +153,6 @@ class ProlateContext:
                 f"truncation dimension must lie in [2, {_MAX_ROWS}], got {truncation_dim}")
         self.c = float(c)
         self.truncation_dim = truncation_dim
-        self.chi_rtol = chi_rtol
-        self.tail_rtol = tail_rtol
         self._modes: dict[int, ProlateMode] = {}
 
     # -- solves ------------------------------------------------------------
@@ -177,12 +174,12 @@ class ProlateContext:
         min-max bound chi_n <= n(n+1) + c^2 (from c^2 x^2 <= c^2) keeps
         this true with chi replaced by that bound.  The log-ratios are
         summed from the first row of that region until they fall below
-        log(tail_rtol) minus _ESTIMATE_MARGIN, and four dead rows are kept
+        log(TAIL_RTOL) minus _ESTIMATE_MARGIN, and four dead rows are kept
         for the tail check.
         """
         parity = n % 2
         chi_hi = n * (n + 1.0) + self.c * self.c
-        target = math.log(self.tail_rtol) - _ESTIMATE_MARGIN
+        target = math.log(TAIL_RTOL) - _ESTIMATE_MARGIN
         size = min(n // 2 + math.ceil(self.c) + 64, _MAX_ROWS)
         while True:
             band = build_matrix(self.c, parity, size)
@@ -212,15 +209,15 @@ class ProlateContext:
         return float(vals[0]), vec, abs(band.offdiag[-1] * vec[-1]), _noise(band)
 
     @staticmethod
-    def _tail_ok(vec: np.ndarray, tail_rtol: float) -> bool:
+    def _tail_ok(vec: np.ndarray) -> bool:
         peak = np.max(np.abs(vec))
-        return bool(np.max(np.abs(vec[-4:])) < tail_rtol * peak)
+        return bool(np.max(np.abs(vec[-4:])) < TAIL_RTOL * peak)
 
     def _converged_solve(self, n: int):
         if self.truncation_dim is not None:
             dim = self._capped(max(self.truncation_dim, n // 2 + 2), n)
             chi_val, vec, _, _ = self._eig(n, dim)
-            if not self._tail_ok(vec, self.tail_rtol):
+            if not self._tail_ok(vec):
                 raise TruncationNotConverged(
                     f"fixed dimension {dim} leaves a live coefficient tail "
                     f"for c={self.c}, n={n}")
@@ -228,8 +225,8 @@ class ProlateContext:
         dim = self._start_dim(n)
         while True:
             chi_val, vec, resid, noise = self._eig(n, dim)
-            if (self._tail_ok(vec, self.tail_rtol)
-                    and resid <= self.chi_rtol * abs(chi_val) + noise):
+            if (self._tail_ok(vec)
+                    and resid <= CHI_RTOL * abs(chi_val) + noise):
                 return chi_val, vec
             dim = self._capped(2 * dim, n)
 

@@ -102,7 +102,7 @@ def test_criterion_1_table1_large():
         if _rel(row["mu"], mu_ref) > 5e-4:
             bad.append(("mu", c, n, row["mu"]))
     elapsed = time.monotonic() - start
-    if elapsed >= 1800.0:
+    if elapsed >= 120.0:
         bad.append(("runtime", elapsed))
     _finish(1, f"table-1 c=1e5 rows in {elapsed:.1f}s", bad)
 
@@ -142,7 +142,7 @@ def test_table2_large():
         if got != (n1_ref, n2_ref):
             bad.append((eps_log, got))
     elapsed = time.monotonic() - start
-    if elapsed >= 1800.0:
+    if elapsed >= 120.0:
         bad.append(("runtime", elapsed))
     _finish(2, f"table-2 c=1e5 thresholds exact in {elapsed:.0f}s", bad)
 

@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -8,9 +10,14 @@ from prolate import MatchFailure, ProlateContext, bound_report, cli
 
 
 def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "prolate.cli", *args],
-                          capture_output=True, text=True, timeout=600)
-    return proc.returncode, proc.stdout, proc.stderr
+    """Exit code, stdout and stderr of one command, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(list(args))
+        except SystemExit as exc:  # argparse refusals
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
 
 
 def _assert_config_error(rc, out, err):
@@ -20,7 +27,10 @@ def _assert_config_error(rc, out, err):
 
 
 def test_table1_csv_contract():
-    rc, out, _ = run_cli("table1", "--c", "10")
+    # through the module entry point, in a fresh interpreter
+    proc = subprocess.run([sys.executable, "-m", "prolate.cli", "table1", "--c", "10"],
+                          capture_output=True, text=True, timeout=600)
+    rc, out = proc.returncode, proc.stdout
     assert rc == 0
     lines = out.splitlines()
     assert lines[0] == "c,n,pi_n_over_2c,abs_lambda,mu"
@@ -188,19 +198,36 @@ def test_commands_do_not_load_optimize_or_integrate():
 
 @pytest.mark.parametrize("argv", [["report", "--large", "--n", "2"],
                                   ["verify", "--large", "--quick"]])
-def test_large_flag_is_refused_where_it_does_nothing(capsys, argv):
-    assert cli.main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "configuration error: --large" in err
+def test_large_flag_is_refused_where_it_does_nothing(argv):
+    rc, out, err = run_cli(*argv)
+    assert rc == 2
+    assert out == "" and "unrecognized arguments: --large" in err
 
 
 @pytest.mark.parametrize("command", [["report", "--n", "2"], ["verify", "--quick"]])
-def test_large_config_key_is_refused_where_it_does_nothing(tmp_path, capsys, command):
+def test_large_config_key_is_refused_where_it_does_nothing(tmp_path, command):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"large": True}))
-    assert cli.main(["--config", str(cfg), *command]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "configuration error: --large" in err
+    rc, out, err = run_cli("--config", str(cfg), *command)
+    assert rc == 2
+    assert out == "" and f"config key 'large' does not apply to {command[0]}" in err
+
+
+@pytest.mark.parametrize("dim", ["3", "40"])
+def test_truncation_dim_flag_is_refused_by_verify(dim):
+    # verify builds its own contexts, so a pinned dimension would be ignored
+    rc, out, err = run_cli("verify", "--quick", "--truncation-dim", dim)
+    assert rc == 2
+    assert out == "" and "unrecognized arguments: --truncation-dim" in err
+
+
+@pytest.mark.parametrize("dim", [3, 40])
+def test_truncation_dim_config_key_is_refused_by_verify(tmp_path, dim):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"truncation_dim": dim}))
+    rc, out, err = run_cli("--config", str(cfg), "verify", "--quick")
+    assert rc == 2
+    assert out == "" and "config key 'truncation_dim' does not apply to verify" in err
 
 
 @pytest.mark.parametrize("command", [["table1", "--c", "10"],

@@ -2,15 +2,16 @@ import math
 
 import pytest
 
+import prolate.bounds as bounds
+import prolate.experiments as experiments
 import prolate.spectrum as spectrum
-from prolate import ProlateContext, lambda_log
+from prolate import ProlateContext, bound_report, lambda_log
 from prolate.experiments import (EXP3_HEADER, FIGURE_HEADER, TABLE1_HEADER,
-                                 TABLE2_HEADER, RunConfig, ThresholdRecord,
+                                 TABLE2_HEADER, RunConfig,
                                  decay_figure_rows, exp3_n_max, experiment1,
                                  experiment2, experiment3, find_n1, find_n2,
                                  negative_control, rows_to_csv, rows_to_json,
                                  sequence_sample_grid, table1_indices,
-                                 threshold_records_to_rows,
                                  verify_chi_structure, verify_hg_bounds,
                                  verify_nu)
 
@@ -56,14 +57,14 @@ def test_thresholds_at_small_c(ctx10):
 
 def test_experiment2_records():
     cfg = RunConfig(c_list=(10.0,), eps_logs=(-50.0,))
-    records = experiment2(cfg)
-    assert len(records) == 1
-    rec = records[0]
-    assert (rec.n1, rec.n2) == (32, 38)
-    assert rec.n2_minus_n1 == 6
-    assert rec.delta1 == pytest.approx((32 - 20 / math.pi) / math.log(10.0))
-    rows = threshold_records_to_rows(records)
-    assert rows[0]["eps"] == "e-50"
+    rows = experiment2(cfg)
+    assert len(rows) == 1
+    row = rows[0]
+    assert set(row) == set(TABLE2_HEADER)
+    assert (row["n1"], row["n2"]) == (32, 38)
+    assert row["n2_minus_n1"] == 6
+    assert row["delta1"] == pytest.approx((32 - 20 / math.pi) / math.log(10.0))
+    assert row["eps"] == "e-50"
 
 
 def test_experiment2_solves_only_the_indices_it_scans(monkeypatch):
@@ -76,10 +77,9 @@ def test_experiment2_solves_only_the_indices_it_scans(monkeypatch):
         asked.add((self.c, n))
         return real_mode(self, n)
     monkeypatch.setattr(ProlateContext, "mode", mode)
-    records = experiment2(RunConfig(c_list=(10.0, 100.0), eps_logs=(-50.0, -100.0)))
-    assert all(isinstance(r, ThresholdRecord) for r in records)
-    assert [(r.eps_log, r.c) for r in records] == [
-        (-50.0, 10.0), (-50.0, 100.0), (-100.0, 10.0), (-100.0, 100.0)]
+    rows = experiment2(RunConfig(c_list=(10.0, 100.0), eps_logs=(-50.0, -100.0)))
+    assert [(r["eps"], r["c"]) for r in rows] == [
+        ("e-50", 10.0), ("e-50", 100.0), ("e-100", 10.0), ("e-100", 100.0)]
     # every solve belongs to an index some scan asked for, once
     assert len(solves) == len(asked)
 
@@ -116,6 +116,25 @@ def test_experiment3_rows_small_case():
     assert set(rows[0]) == set(EXP3_HEADER)
     assert all(isinstance(r["ordered"], bool) for r in rows)
     assert all(r["log_abs_lambda"] < r["log_zeta"] < r["log_xi"] for r in rows)
+
+
+def test_delta_solved_once_per_report_and_experiment3_row(monkeypatch):
+    calls, real = [], bounds.delta_of_n
+
+    def counted(n, c):
+        calls.append(n)
+        return real(n, c)
+    monkeypatch.setattr(bounds, "delta_of_n", counted)
+    monkeypatch.setattr(experiments, "delta_of_n", counted)
+    ctx = ProlateContext(40.0)
+    # inside 2c/pi < n < 10c/pi, with delta(n) clamped, pinned, or not defined
+    for n, delta in ((30, None), (41, None), (60, 5.0), (60, None), (20, None)):
+        calls.clear()
+        bound_report(ctx, n, delta=delta)
+        assert calls == ([] if n == 20 else [n])
+    calls.clear()
+    rows = experiment3(RunConfig(c_list=(40.0,)))
+    assert calls == [r["n"] for r in rows]
 
 
 def test_experiment1_isolates_row_failures():

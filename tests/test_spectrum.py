@@ -270,11 +270,12 @@ def test_poor_estimate_converges_by_doubling(monkeypatch):
 def test_residual_check_alone_resolves_chi(monkeypatch):
     # a tail tolerance of 1 accepts any tail, so only the residual of the
     # zero-padded eigenvector stands between a too-small block and chi
+    refs = [ProlateContext(c, truncation_dim=1000).chi(n)
+            for c, n in ((100.0, 64), (1000.0, 700))]
     monkeypatch.setattr(ProlateContext, "_start_dim", lambda self, n: n // 2 + 2)
-    for c, n in ((100.0, 64), (1000.0, 700)):
-        ref = ProlateContext(c, truncation_dim=1000).chi(n)
-        assert ProlateContext(c, tail_rtol=1.0).chi(n) == pytest.approx(
-            ref, rel=spectrum.CHI_RTOL)
+    monkeypatch.setattr(spectrum, "TAIL_RTOL", 1.0)
+    for (c, n), ref in zip(((100.0, 64), (1000.0, 700)), refs):
+        assert ProlateContext(c).chi(n) == pytest.approx(ref, rel=spectrum.CHI_RTOL)
 
 
 def test_log_route_at_converged_dim_matches_wider_block():
