@@ -45,21 +45,40 @@ def _parse_c_list(text):
 
 
 def _parse_eps_list(text):
-    """Accept 'e-50' style exponents or plain floats; store natural logs."""
+    """Accept 'e-50' style exponents or plain floats; store natural logs.
+
+    Every target must lie strictly between 0 and 1, so an exponent must be
+    finite and negative.
+    """
     logs = []
     for tok in text.split(","):
         tok = tok.strip()
         try:
             if tok.startswith("e"):
-                logs.append(float(tok[1:]))
+                v = float(tok[1:])
+                if not -math.inf < v < 0.0:
+                    raise ValueError
+                logs.append(v)
             else:
                 v = float(tok)
                 if not 0.0 < v < 1.0:
                     raise ValueError
                 logs.append(math.log(v))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad eps value: {tok!r}")
+            raise argparse.ArgumentTypeError(
+                f"bad eps value: {tok!r} (a number in (0, 1), or e<x> "
+                "with x finite and negative)")
     return tuple(logs)
+
+
+def _parse_finite(text):
+    try:
+        v = float(text)
+        if math.isfinite(v):
+            return v
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _parse_int_list(text):
@@ -122,7 +141,7 @@ def build_parser():
         if name == "report":
             sub.add_argument("--n", type=_parse_int_list, required=True,
                              help="comma-separated mode indices")
-            sub.add_argument("--delta", type=float, default=None,
+            sub.add_argument("--delta", type=_parse_finite, default=None,
                              help="pin the depth parameter for the chi-free bound")
     return parser
 

@@ -92,8 +92,9 @@ def lambda_quadrature(m: ProlateMode, rule=None) -> LogScaledReal:
     if rule is None:
         rule = gauss_legendre(math.ceil(m.c) + m.n + 30)
     grid = np.linspace(-1.0, 1.0, 257)
-    # one recurrence sweep over grid and nodes; psi_value treats each
-    # point on its own, so the values equal those of two separate calls
+    # one recurrence sweep over grid and nodes, both symmetric about 0;
+    # psi_value sweeps the distinct |x| only and treats each point on its
+    # own, so the values equal those of two separate calls
     vals = psi_value(m, np.concatenate([grid, rule.nodes]))
     vals, pt = vals[:grid.size], vals[grid.size:]
     i = int(np.argmax(np.abs(vals)))

@@ -35,6 +35,7 @@ from .eigenvalues import (MatchFailure, ResolutionLoss, eigenvalue_record,
                           lambda_direct, lambda_log, lambda_odd,
                           lambda_quadrature)
 from .elliptic import complete_E
+from .legendre import gauss_legendre
 from .sequences import a_new, b_one, b_two, lambda_gamma_bound, product_lower_bound, trace
 from .spectrum import ProlateContext, TruncationNotConverged
 
@@ -102,13 +103,16 @@ def _threshold_scan(below, start: int, step: int, width: int, what: str) -> int:
     The bracket 0 < k <= width widens by at least 40 indices, or half its
     length, until below holds at its top; bisection on k then narrows it.
     Bisection is justified by the monotone decay of the scanned quantity;
-    the returned index is re-verified against its lower neighbor.
+    the returned index is re-verified against its lower neighbor.  A target
+    that already holds at the window start has no threshold in the window,
+    which is a configuration error (ValueError).
     """
     def at(k):
         return below(start + step * k)
 
     if at(0):
-        raise RuntimeError(f"{what} already below target at the window start")
+        raise ValueError(f"target {what} already holds at the window start "
+                         f"n = {start}; choose a smaller eps")
     lo, hi = 0, width
     while not at(hi):
         hi += max(40 // step, hi // 2)
@@ -128,7 +132,8 @@ def find_n1(ctx: ProlateContext, eps_log: float) -> int:
     c = ctx.c
     width = max(40, int(5.0 - eps_log / 4.0 * math.log(c + 2.0)))
     return _threshold_scan(lambda n: lambda_log(ctx, n).log_abs < eps_log,
-                           int(2.0 * c / math.pi) + 1, 1, width, "eigenvalue")
+                           int(2.0 * c / math.pi) + 1, 1, width,
+                           f"|lambda_n| < e{eps_log:g} at c = {c:g}")
 
 
 def find_n2(ctx: ProlateContext, eps_log: float) -> int:
@@ -136,7 +141,8 @@ def find_n2(ctx: ProlateContext, eps_log: float) -> int:
     c = ctx.c
     width = max(20, int(3.0 - eps_log / 8.0 * math.log(c + 2.0)))
     return _threshold_scan(lambda n: zeta(ctx.mode(n)).log_abs < eps_log,
-                           _first_even_above(2.0 * c / math.pi), 2, width, "bound")
+                           _first_even_above(2.0 * c / math.pi), 2, width,
+                           f"zeta(n, c) < e{eps_log:g} at c = {c:g}")
 
 
 def experiment2(cfg: RunConfig):
@@ -286,6 +292,11 @@ def verify_route_agreement(samples=None, seed=20250808):
                 want = min(pool.size, target - len(samples))
             ns = rng.choice(pool, size=want, replace=False)
             samples.extend((c, int(n)) for n in sorted(ns))
+    # one Gauss rule per band limit, sized for its largest sampled n
+    top = {}
+    for c, n in samples:
+        top[c] = max(top.get(c, n), n)
+    rules = {c: gauss_legendre(math.ceil(c) + n + 30) for c, n in top.items()}
     checks = []
     ctxs = {}
     for c, n in samples:
@@ -301,7 +312,7 @@ def verify_route_agreement(samples=None, seed=20250808):
         checks.append(_check("routes", "log_vs_direct", c, n, rel_log < 1e-6,
                              f"log gap {log_gap:.2e}"))
         if direct.log_abs > math.log(1e-10):
-            q = lambda_quadrature(m)
+            q = lambda_quadrature(m, rules[c])
             rel = abs(q.to_float() - direct.to_float()) / direct.to_float()
             checks.append(_check("routes", "quadrature_vs_direct", c, n,
                                  rel < 1e-8, f"rel {rel:.2e}"))

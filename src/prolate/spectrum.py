@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .legendre import even_values_at_zero, odd_derivs_at_zero
+from .legendre import even_values_at_zero, legendre_sweep, odd_derivs_at_zero
 
 CHI_RTOL = 1e-10       # eigenvalue accuracy, relative
 TAIL_RTOL = 1e-20      # trailing coefficient magnitude, relative to the peak
@@ -274,24 +274,25 @@ def psi_value(m: ProlateMode, x):
     """Evaluate the eigenfunction at x in [-1, 1] (scalar or array).
 
     Sums the normalized-Legendre series with one recurrence sweep over all
-    degrees up to the truncation, accumulating only the mode's parity.
+    degrees up to the truncation, accumulating only the mode's parity.  The
+    sweep runs once over the distinct |x|: negation is exact and rounding
+    symmetric, so the recurrence gives P_k(-t) = (-1)^k P_k(t) bit for bit,
+    and an odd mode's values at negative x are negated.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x_arr) > 1.0):
+    x_arr = np.asarray(x, dtype=float)
+    t, inverse = np.unique(np.abs(x_arr).ravel(), return_inverse=True)
+    if np.any(t > 1.0):
         raise ValueError("argument outside [-1, 1]")
-    max_degree = m.parity + 2 * (m.dim - 1)
-    acc = np.zeros_like(x_arr)
-    p_prev = np.ones_like(x_arr)
+    scale = m.coeffs * np.sqrt(m.degrees() + 0.5)
+    acc = np.zeros_like(t)
     if m.parity == 0:
-        acc += m.coeffs[0] * math.sqrt(0.5) * p_prev
-    if max_degree >= 1:
-        p_cur = x_arr.copy()
-        if m.parity == 1:
-            acc += m.coeffs[0] * math.sqrt(1.5) * p_cur
-        for deg in range(2, max_degree + 1):
-            j = deg - 1
-            p_next = ((2 * j + 1) * x_arr * p_cur - j * p_prev) / (j + 1)
-            p_prev, p_cur = p_cur, p_next
-            if deg % 2 == m.parity:
-                acc += m.coeffs[(deg - m.parity) // 2] * math.sqrt(deg + 0.5) * p_cur
-    return acc if np.ndim(x) else float(acc[0])
+        acc += scale[0]
+    term = np.empty_like(t)
+    for deg, p, _ in legendre_sweep(t, m.parity + 2 * (m.dim - 1)):
+        if deg % 2 == m.parity:
+            np.multiply(p, scale[deg // 2], out=term)
+            acc += term
+    vals = acc[inverse].reshape(x_arr.shape)
+    if m.parity == 1:
+        np.negative(vals, out=vals, where=x_arr < 0)
+    return vals if vals.ndim else float(vals)

@@ -344,3 +344,36 @@ def test_integral_config_values_are_accepted(tmp_path, dim):
     args = cli._apply_config(
         parser.parse_args(["--config", str(cfg), "table1"]), parser)
     assert args.truncation_dim == 400
+
+
+@pytest.mark.parametrize("argv", [["--c", "10", "--eps", "e-0.01"],
+                                  ["--c", "0.1,1", "--eps", "e-1"],
+                                  ["--c", "0.5,2", "--eps", "0.5"]])
+def test_eps_met_at_the_window_start_is_config_error(argv):
+    rc, out, err = run_cli("table2", *argv)
+    _assert_config_error(rc, out, err)
+    assert "already holds at the window start n = " in err
+
+
+@pytest.mark.parametrize("eps", ["e0", "e5", "e-0", "e-inf", "einf", "enan"])
+def test_eps_exponent_must_be_finite_and_negative(eps):
+    rc, out, err = run_cli("table2", "--c", "10", f"--eps={eps}")
+    assert rc == 2
+    assert out == "" and f"bad eps value: {eps!r}" in err
+
+
+@pytest.mark.parametrize("eps", ["e0", "e-inf", "enan", ["e-50", "e5"]])
+def test_eps_config_key_goes_through_the_same_parser(tmp_path, eps):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"eps": eps}))
+    rc, out, err = run_cli("--config", str(cfg), "table2", "--c", "10")
+    assert rc == 2
+    assert out == "" and "bad config value for 'eps'" in err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_non_finite_delta_is_refused(delta):
+    rc, out, err = run_cli("report", "--c", "100", "--n", "70,80,200",
+                           f"--delta={delta}")
+    assert rc == 2
+    assert out == "" and "argument --delta: expected a finite number" in err

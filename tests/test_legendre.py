@@ -8,7 +8,8 @@ from prolate import (QuadratureRule, gauss_legendre, legendre_value,
                      normalized_legendre_at_zero,
                      normalized_legendre_deriv_at_zero,
                      normalized_legendre_value)
-from prolate.legendre import even_values_at_zero, odd_derivs_at_zero
+from prolate.legendre import (even_values_at_zero, legendre_sweep,
+                              odd_derivs_at_zero)
 
 
 def degree6_closed_form(x):
@@ -214,11 +215,12 @@ def _reference_node_and_weight(m, i):
         return x, 2 / ((1 - x * x) * d * d)
 
 
-@pytest.mark.parametrize("m", [40, 400])
+@pytest.mark.parametrize("m", [40, 400, 1630])
 def test_gauss_rule_against_40_digit_reference(m):
     # the end nodes, their neighbours and the middle pair; the earlier rule,
     # Newton iterated from cosine guesses to a step-size stop, met the same
-    # 2e-16 absolute bound
+    # 2e-16 absolute bound.  m = 1630 is the largest rule the quadrature
+    # oracle builds at c = 1000
     rule = gauss_legendre(m)
     for i in (0, 1, m // 2 - 1, m // 2, m - 2, m - 1):
         x, w = _reference_node_and_weight(m, i)
@@ -226,21 +228,71 @@ def test_gauss_rule_against_40_digit_reference(m):
         assert abs(rule.weights[i] - w) <= 2e-16
 
 
+@pytest.mark.parametrize("m", [40, 41])
+def test_every_nonnegative_node_against_40_digit_reference(m):
+    # the weights come from P_m' carried along the Newton step by Legendre's
+    # equation, so check every one of them, not only the ends and the middle
+    rule = gauss_legendre(m)
+    for i in range(m // 2, m):
+        x, w = _reference_node_and_weight(m, i)
+        assert abs(rule.nodes[i] - x) <= 2e-16
+        assert abs(rule.weights[i] - w) <= 2e-16
+
+
+def _two_sweep_nodes(m):
+    """Nodes of the rule that swept P_m twice: a Newton step at the dsterf
+    guesses, then a second sweep at the polished nodes for the weights."""
+    from prolate.legendre import dsterf
+    h = (m + 1) // 2
+    k = np.arange(1.0, m)
+    b = np.zeros(2 * h + 1)
+    b[1:m] = k / np.sqrt(4.0 * k * k - 1.0)
+    diag = b[0:2 * h:2] ** 2 + b[1:2 * h:2] ** 2
+    off = b[1:2 * h:2] * b[2:2 * h + 1:2]
+    y, _ = dsterf(diag, off[:max(h - 1, 1)])
+    if m % 2:
+        y[0] = 0.0
+    x = np.sqrt(y)
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(1, m):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    x = x - p / (m * (x * p - p_prev) / (x * x - 1.0))
+    return np.concatenate((-x[::-1][:m - h], x))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 40, 1101])
+def test_gauss_nodes_bitwise_equal_two_sweep_rule(m):
+    # x0 + (-p/d) is x0 - p/d bit for bit, so one sweep moves no node
+    nodes = gauss_legendre(m).nodes
+    assert nodes.tobytes() == _two_sweep_nodes(m).tobytes()
+
+
 @pytest.mark.parametrize("m", [60, 1100, 1101])
-def test_gauss_rule_is_two_half_size_sweeps(monkeypatch, m):
-    # one Newton step from the eigenvalue guesses, then one weight sweep,
-    # each over the ceil(m/2) nonnegative nodes only
+def test_gauss_rule_is_one_half_size_sweep(monkeypatch, m):
+    # the Newton step and the weights come from one sweep of P_m over the
+    # ceil(m/2) nonnegative guesses
     from prolate import legendre
     sweeps = []
 
-    def counting(deg, x):
-        sweeps.append((deg, x.size))
-        return real(deg, x)
+    def counting(x, top):
+        sweeps.append((top, x.size))
+        return real(x, top)
 
-    real = legendre._legendre_and_deriv
-    monkeypatch.setattr(legendre, "_legendre_and_deriv", counting)
+    real = legendre.legendre_sweep
+    monkeypatch.setattr(legendre, "legendre_sweep", counting)
     legendre.gauss_legendre(m)
-    assert sweeps == [(m, (m + 1) // 2)] * 2
+    assert sweeps == [(m, (m + 1) // 2)]
+
+
+@pytest.mark.parametrize("top", [1, 2, 7, 60])
+def test_legendre_sweep_matches_legendre_value(top):
+    x = np.array([-1.0, -0.7, -0.0, 0.0, 0.3, 1.0])
+    seen = []
+    for k, p, p_prev in legendre_sweep(x, top):
+        assert p.tobytes() == legendre_value(k, x).tobytes()
+        assert p_prev.tobytes() == legendre_value(k - 1, x).tobytes()
+        seen.append(k)
+    assert seen == list(range(1, top + 1))
 
 
 def test_gauss_rule_refuses_failed_eigenvalue_solve(monkeypatch):

@@ -170,6 +170,58 @@ def test_psi_one_sweep_equals_two(ctx100):
         assert np.array_equal(joint, np.concatenate([psi_value(m, a), psi_value(m, b)]))
 
 
+def _psi_loop(m, x):
+    """psi_n by the full-length loop over every point, as a bitwise oracle."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    max_degree = m.parity + 2 * (m.dim - 1)
+    acc = np.zeros_like(x_arr)
+    p_prev = np.ones_like(x_arr)
+    if m.parity == 0:
+        acc += m.coeffs[0] * math.sqrt(0.5) * p_prev
+    p_cur = x_arr.copy()
+    if m.parity == 1:
+        acc += m.coeffs[0] * math.sqrt(1.5) * p_cur
+    for deg in range(2, max_degree + 1):
+        j = deg - 1
+        p_next = ((2 * j + 1) * x_arr * p_cur - j * p_prev) / (j + 1)
+        p_prev, p_cur = p_cur, p_next
+        if deg % 2 == m.parity:
+            acc += m.coeffs[(deg - m.parity) // 2] * math.sqrt(deg + 0.5) * p_cur
+    return acc if np.ndim(x) else float(acc[0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 63])
+def test_psi_bitwise_equal_full_length_loop(ctx10, ctx100, n):
+    # one sweep over the distinct |x| with the odd values negated gives
+    # the loop's bits, signed zeros included
+    m = mode(ctx10 if n < 2 else ctx100, n)
+    edge = [0.0, -0.0, 1.0, -1.0, 0.37, -0.37]
+    rng = np.random.default_rng(n)
+    grid = np.linspace(-1.0, 1.0, 257)
+    for x in [*edge, np.array(edge), rng.uniform(-1.0, 1.0, (5, 7)),
+              np.concatenate([grid, gauss_legendre(161).nodes, [-0.0]]),
+              np.array(edge).reshape(2, 3)]:
+        got, want = psi_value(m, x), _psi_loop(m, x)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_psi_sweeps_each_distinct_magnitude_once(ctx100, monkeypatch):
+    from prolate import spectrum
+    sizes = []
+
+    def counting(x, top):
+        sizes.append(x.size)
+        return real(x, top)
+
+    real = spectrum.legendre_sweep
+    monkeypatch.setattr(spectrum, "legendre_sweep", counting)
+    grid = np.linspace(-1.0, 1.0, 257)
+    psi_value(mode(ctx100, 63), np.concatenate([grid, gauss_legendre(161).nodes]))
+    # 129 grid magnitudes, and 81 node magnitudes of which 0.0 is a grid point
+    assert sizes == [129 + 80]
+
+
 def test_psi_domain_error(ctx10):
     with pytest.raises(ValueError):
         psi_value(mode(ctx10, 0), 1.0001)
