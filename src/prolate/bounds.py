@@ -327,10 +327,8 @@ def bound_report(ctx: ProlateContext, n: int, delta: float | None = None) -> Bou
 
     delta defaults to the clamped delta(n) policy; pass a value to pin it.
     """
-    if n < 0:
-        raise ValueError("mode index must be non-negative")
     c = ctx.c
-    m = ctx.mode(n)
+    m = ctx.mode(n)     # refuses an index that is not a non-negative integer
     chi_val = m.chi
     lam = lambda_log(ctx, n)
     above_c2 = chi_val > c * c

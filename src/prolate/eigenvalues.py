@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dtbtrs
 
-from .legendre import even_values_at_zero, gauss_legendre, odd_derivs_at_zero
+from .legendre import gauss_legendre
 from .logscale import LogScaledReal, signed_log_sum
-from .spectrum import ProlateContext, ProlateMode, build_matrix, psi_value
+from .spectrum import ProlateContext, ProlateMode, psi_value
 
 _EPS = np.finfo(float).eps
 RESOLUTION_FLOOR = 1e3 * _EPS    # smallest usable leading coefficient, relative
@@ -209,10 +209,10 @@ def lambda_log(ctx: ProlateContext, n: int) -> LogScaledReal:
     """
     m = ctx.mode(n)
     dim = m.dim
-    parity = n % 2
-    band = build_matrix(ctx.c, parity, dim)
+    parity = m.parity
+    band = ctx.band(parity, dim)
     signs, logs, _ = _two_sided_profile(band.diag, band.offdiag, m.chi, dim)
-    w = even_values_at_zero(dim) if parity == 0 else odd_derivs_at_zero(dim)
+    w = ctx.weights_at_zero(parity, dim)
     total = signed_log_sum(signs * np.sign(w), logs + np.log(np.abs(w)))
     if total.is_zero():
         raise ArithmeticError("series at the origin summed to zero")

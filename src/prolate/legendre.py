@@ -20,7 +20,8 @@ def _check_degree(k):
 
 
 def _check_domain(t):
-    if np.any(np.abs(t) > 1.0):
+    # written so that NaN fails the comparison and is refused too
+    if not np.all(np.abs(t) <= 1.0):
         raise ValueError("argument outside [-1, 1]")
 
 

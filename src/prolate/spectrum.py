@@ -29,10 +29,11 @@ TAIL_RTOL = 1e-20      # trailing coefficient magnitude, relative to the peak
 # and log(TAIL_RTOL), for rounding in the computed eigenvector
 _ESTIMATE_MARGIN = math.log(1e3)
 # Largest block dimension any solve may use.  A mode plus its log-route
-# eigenvalue raises the peak resident memory by about 110 bytes per row
+# eigenvalue raises the peak resident memory by about 113 bytes per row
 # (measured at c = 100, n = 140 with the dimension pinned at 1e5 and 4e5
-# rows; the eigenvector solve alone takes about 85), so the cap stands for
-# about 0.12 GB.  c = 1e5 needs about 6e4 rows at the top of its decay
+# rows, the context's cached band and weight table included; the
+# eigenvector solve alone takes about 85), so the cap stands for about
+# 0.12 GB.  c = 1e5 needs about 6e4 rows at the top of its decay
 # window.
 _MAX_ROWS = 1 << 20
 _EPS = np.finfo(float).eps
@@ -136,7 +137,18 @@ class ProlateContext:
     Each index n has one cached record, its ProlateMode, built by one
     converged solve and kept for the life of the context; chi(n) and
     converged_dim(n) read chi and the dimension from that record, so any
-    mix of calls for one n solves once.  A context is not meant to be
+    mix of calls for one n solves once.
+
+    The context is also the only place that builds a parity block or a
+    weight table at the origin: it keeps one of each per parity, read-only,
+    and hands out prefixes (band, weights_at_zero).  The dimension scan,
+    each solve, psi(0) or psi'(0) of a record and lambda_log all read
+    them.  Every band entry depends on its own row only and the weight
+    table's ratio chain runs from the first row on, so a prefix is
+    bitwise equal to a fresh build of that size.  A table too short for
+    a request is rebuilt at twice its length or the request, whichever is
+    larger (the band never past _MAX_ROWS + 1 rows), so a scan over rising
+    indices builds each a few times at most.  A context is not meant to be
     shared across threads.
     """
 
@@ -154,6 +166,31 @@ class ProlateContext:
         self.c = float(c)
         self.truncation_dim = truncation_dim
         self._modes: dict[int, ProlateMode] = {}
+        self._bands: list[MatrixBand | None] = [None, None]
+        self._weights: list[np.ndarray | None] = [None, None]
+
+    # -- cached tables -------------------------------------------------------
+
+    def band(self, parity: int, rows: int) -> MatrixBand:
+        """The first rows rows of the parity block, a view of the cached band."""
+        band = self._bands[parity]
+        have = band.dim if band is not None else 0
+        if have < rows:
+            band = self._bands[parity] = build_matrix(
+                self.c, parity, min(max(rows, 2 * have), _MAX_ROWS + 1))
+        return MatrixBand(self.c, parity, band.diag[:rows], band.offdiag[:rows - 1])
+
+    def weights_at_zero(self, parity: int, rows: int) -> np.ndarray:
+        """Normalized Legendre values (even) or derivatives (odd) at the
+        origin for the first rows degrees of the parity, read-only."""
+        table = self._weights[parity]
+        have = table.size if table is not None else 0
+        if have < rows:
+            build = even_values_at_zero if parity == 0 else odd_derivs_at_zero
+            table = build(min(max(rows, 2 * have), _MAX_ROWS))
+            table.setflags(write=False)
+            self._weights[parity] = table
+        return table[:rows]
 
     # -- solves ------------------------------------------------------------
 
@@ -176,13 +213,18 @@ class ProlateContext:
         summed from the first row of that region until they fall below
         log(TAIL_RTOL) minus _ESTIMATE_MARGIN, and four dead rows are kept
         for the tail check.
+
+        The diagonal passes chi_hi near row sqrt(chi_hi) / 2, so the scan
+        starts with 0.55 sqrt(chi_hi) + 64 rows of the cached band and
+        doubles until the dead row lies inside it.  Past that region the
+        steps only fall, so the answer does not depend on the scan size.
         """
         parity = n % 2
         chi_hi = n * (n + 1.0) + self.c * self.c
         target = math.log(TAIL_RTOL) - _ESTIMATE_MARGIN
-        size = min(n // 2 + math.ceil(self.c) + 64, _MAX_ROWS)
+        size = min(math.ceil(0.55 * math.sqrt(chi_hi)) + 64, _MAX_ROWS)
         while True:
-            band = build_matrix(self.c, parity, size)
+            band = self.band(parity, size)
             e = band.offdiag
             with np.errstate(divide="ignore", invalid="ignore"):
                 steps = np.log(e[:-1] / (band.diag[1:-1] - chi_hi - e[1:]))
@@ -201,7 +243,7 @@ class ProlateContext:
         the zero-padded vector in the infinite operator and the noise level."""
         # one row more than the block: its coupling to the last row of the
         # block is the residual's only entry
-        band = build_matrix(self.c, n % 2, dim + 1)
+        band = self.band(n % 2, dim + 1)
         idx = n // 2
         vals, vecs = eigh_tridiagonal(band.diag[:-1], band.offdiag[:-1],
                                       select="i", select_range=(idx, idx))
@@ -239,9 +281,14 @@ class ProlateContext:
         return self.mode(n).dim
 
     def mode(self, n: int) -> ProlateMode:
-        """Full eigenvector record for index n, cached."""
-        if n < 0:
-            raise ValueError("mode index must be non-negative")
+        """Full eigenvector record for index n, cached.
+
+        n is a non-negative int or numpy integer; bool, float and other
+        types raise ValueError."""
+        if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+                or n < 0):
+            raise ValueError(f"mode index must be a non-negative integer, got {n!r}")
+        n = int(n)
         cached = self._modes.get(n)
         if cached is not None:
             return cached
@@ -250,12 +297,11 @@ class ProlateContext:
         if vec[np.argmax(np.abs(vec))] < 0:
             vec = -vec
         parity = n % 2
+        at_zero = float(vec @ self.weights_at_zero(parity, vec.size))
         if parity == 0:
-            psi0 = float(vec @ even_values_at_zero(vec.size))
-            m = ProlateMode(n, self.c, chi_val, parity, vec, psi0, None)
+            m = ProlateMode(n, self.c, chi_val, parity, vec, at_zero, None)
         else:
-            dpsi0 = float(vec @ odd_derivs_at_zero(vec.size))
-            m = ProlateMode(n, self.c, chi_val, parity, vec, None, dpsi0)
+            m = ProlateMode(n, self.c, chi_val, parity, vec, None, at_zero)
         self._modes[n] = m
         return m
 
@@ -281,7 +327,7 @@ def psi_value(m: ProlateMode, x):
     """
     x_arr = np.asarray(x, dtype=float)
     t, inverse = np.unique(np.abs(x_arr).ravel(), return_inverse=True)
-    if np.any(t > 1.0):
+    if not np.all(t <= 1.0):   # NaN fails the comparison too
         raise ValueError("argument outside [-1, 1]")
     scale = m.coeffs * np.sqrt(m.degrees() + 0.5)
     acc = np.zeros_like(t)

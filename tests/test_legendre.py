@@ -54,6 +54,14 @@ def test_domain_and_degree_errors():
         normalized_legendre_value(2, -1.01)
 
 
+def test_domain_refuses_nan():
+    from prolate.legendre import legendre_deriv_value
+    for f in (legendre_value, legendre_deriv_value, normalized_legendre_value):
+        for t in (float("nan"), np.array([0.0, 0.5, np.nan]), [[np.nan, 1.0]]):
+            with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+                f(3, t)
+
+
 def test_normalized_values():
     assert normalized_legendre_value(0, 0.77) == pytest.approx(math.sqrt(0.5))
     assert normalized_legendre_value(2, 0.0) == pytest.approx(-0.5 * math.sqrt(2.5))

@@ -227,6 +227,14 @@ def test_psi_domain_error(ctx10):
         psi_value(mode(ctx10, 0), 1.0001)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_psi_refuses_nan(ctx10, n):
+    m = mode(ctx10, n)
+    for x in (float("nan"), np.array([0.0, 0.5, np.nan]), np.array([[np.nan]])):
+        with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+            psi_value(m, x)
+
+
 def test_index_validation(ctx10):
     with pytest.raises(ValueError):
         chi(ctx10, -1)
@@ -239,6 +247,26 @@ def test_index_validation(ctx10):
     for dim in (0, 1, -5, spectrum._MAX_ROWS + 1):
         with pytest.raises(ValueError):
             ProlateContext(10.0, truncation_dim=dim)
+
+
+def test_mode_index_must_be_an_integer():
+    ctx = ProlateContext(10.0)
+    for bad in (True, False, 2.0, 2.5, "2", np.float64(2.0), -1, np.int64(-3)):
+        with pytest.raises(ValueError, match="mode index must be a non-negative integer"):
+            ctx.mode(bad)
+        with pytest.raises(ValueError, match="mode index must be a non-negative integer"):
+            chi(ctx, bad)
+    with pytest.raises(ValueError, match="mode index must be a non-negative integer"):
+        lambda_log(ctx, 3.0)
+    from prolate import bound_report
+    for bad in (-1, 2.5, "2"):
+        with pytest.raises(ValueError, match="mode index must be a non-negative integer"):
+            bound_report(ctx, bad)
+    # nothing was cached under a refused index
+    assert ctx._modes == {}
+    m = ctx.mode(np.int64(3))
+    assert type(m.n) is int and m.n == 3
+    assert ctx.mode(3) is m and ctx.mode(np.int32(3)) is m
 
 
 def test_fixed_truncation_failure():
@@ -372,3 +400,116 @@ def test_pinned_context_ignores_cache_dir_variable(tmp_path, monkeypatch):
     with pytest.raises(TruncationNotConverged):
         ProlateContext(10.0, truncation_dim=6).chi(8)
     assert list(tmp_path.iterdir()) == []
+
+
+def _record(ctx, n):
+    m = ctx.mode(n)
+    return (m.chi, m.dim, m.coeffs.tobytes(), m.psi_at_zero, m.dpsi_at_zero,
+            lambda_log(ctx, n).log_abs)
+
+
+@pytest.mark.parametrize("c, evens, odds", [
+    (100.0, [0, 2, 30, 62, 64, 70, 90], [1, 33, 63, 65, 81]),
+    (1.0e4, [0, 6300, 6368, 6450, 6532, 6600], [6367, 6451, 6601]),
+])
+def test_records_do_not_depend_on_solve_order(c, evens, odds):
+    # the cached band and weight tables grow with the order of the
+    # requests; a record must be the same bits as from a fresh context
+    fresh = {n: _record(ProlateContext(c), n) for n in evens + odds}
+    interleaved = [n for pair in zip(evens, odds) for n in pair]
+    interleaved += evens[len(odds):]
+    for order in (evens, evens[::-1], interleaved):
+        ctx = ProlateContext(c)
+        for n in order:
+            assert _record(ctx, n) == fresh[n], (c, n, order)
+    pinned = 2 * max(rec[1] for rec in fresh.values())
+    pinned_fresh = {n: _record(ProlateContext(c, truncation_dim=pinned), n)
+                    for n in evens + odds}
+    ctx = ProlateContext(c, truncation_dim=pinned)
+    for n in interleaved[::-1]:
+        assert _record(ctx, n) == pinned_fresh[n], (c, n, pinned)
+
+
+@pytest.mark.parametrize("c", [0.1, 10.0, 1.0e4])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_band_prefix_is_bitwise_a_fresh_build(c, parity):
+    big = build_matrix(c, parity, 5000)
+    for k in (2, 3, 17, 1000, 4999):
+        small = build_matrix(c, parity, k)
+        assert small.diag.tobytes() == big.diag[:k].tobytes(), k
+        assert small.offdiag.tobytes() == big.offdiag[:k - 1].tobytes(), k
+    # the context's views, requested out of order, read the same bits
+    ctx = ProlateContext(c)
+    for k in (40, 3, 700, 2, 5000, 1301):
+        band = ctx.band(parity, k)
+        fresh = build_matrix(c, parity, k)
+        assert band.dim == k and band.parity == parity and band.c == fresh.c
+        assert band.diag.tobytes() == fresh.diag.tobytes(), k
+        assert band.offdiag.tobytes() == fresh.offdiag.tobytes(), k
+        assert not band.diag.flags.writeable and not band.offdiag.flags.writeable
+        assert ctx._bands[parity].dim <= spectrum._MAX_ROWS + 1
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_weight_table_prefix_is_bitwise_a_fresh_build(parity):
+    table = spectrum.even_values_at_zero if parity == 0 else spectrum.odd_derivs_at_zero
+    big = table(30000)
+    for k in (0, 1, 2, 7, 1000, 29999):
+        assert table(k).tobytes() == big[:k].tobytes(), k
+    ctx = ProlateContext(10.0)
+    for k in (40, 1, 700, 2, 30000, 1301):
+        w = ctx.weights_at_zero(parity, k)
+        assert w.tobytes() == table(k).tobytes(), k
+        assert not w.flags.writeable
+
+
+def test_ascending_scan_builds_few_tables(monkeypatch):
+    # the deep_tail pattern: rising even indices at c = 1e4, each solve
+    # followed by its log-route eigenvalue
+    calls = []
+
+    def counted(name, real):
+        return lambda *a: calls.append(name) or real(*a)
+
+    for name in ("build_matrix", "even_values_at_zero", "odd_derivs_at_zero"):
+        monkeypatch.setattr(spectrum, name, counted(name, getattr(spectrum, name)))
+    ctx = ProlateContext(1.0e4)
+    ns = range(6368, 6368 + 2 * 12 * 24, 2 * 12)
+    for n in ns:
+        ctx.mode(n)
+    assert calls.count("build_matrix") <= 3, calls
+    assert calls.count("even_values_at_zero") <= 3, calls
+    assert "odd_derivs_at_zero" not in calls
+    before = len(calls)
+    for n in ns:
+        lambda_log(ctx, n)
+    assert len(calls) == before, calls[before:]
+
+
+def _old_start_dim(c, n):
+    """The dimension scan as written before the scan size was tied to
+    chi_hi: a fresh block of n // 2 + ceil(c) + 64 rows, doubled."""
+    chi_hi = n * (n + 1.0) + c * c
+    target = math.log(spectrum.TAIL_RTOL) - spectrum._ESTIMATE_MARGIN
+    size = n // 2 + math.ceil(c) + 64
+    while True:
+        band = build_matrix(c, n % 2, size)
+        e = band.offdiag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.log(e[:-1] / (band.diag[1:-1] - chi_hi - e[1:]))
+        growing = np.flatnonzero(~(steps < 0.0))
+        j0 = int(growing[-1]) + 1 if growing.size else 0
+        dead = np.flatnonzero(np.cumsum(steps[j0:]) < target)
+        if dead.size:
+            return j0 + int(dead[0]) + 5
+        size *= 2
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 100.0, 1000.0, 1.0e4, 1.0e5])
+def test_start_dim_does_not_depend_on_scan_size(c):
+    edge = int(2.0 * c / math.pi)
+    ns = {0, 1, 2, 7, 40, 41, 120, edge, edge + 1, edge // 2,
+          int(edge + 10.0 * math.log(c + 2.0)), int(edge + 20.0 * math.log(c + 2.0)) + 1}
+    ctx = ProlateContext(c)
+    for n in sorted(ns):
+        assert ctx._start_dim(n) == _old_start_dim(c, n), (c, n)
