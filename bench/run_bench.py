@@ -4,7 +4,14 @@
         --tier1 --perfbench-seeds 101-110 --out BENCH_<n>.json
 
 --parent and --change each name a source checkout (one holding
-src/prolate).  Every CLI command runs at its defaults in a fresh process,
+src/prolate).  Both are first copied into fresh sibling directories,
+parent/ and change/ under one temporary directory (without .git and
+without any cached bytecode), and every timing runs from those copies,
+which are removed at the end.  So the two sides differ only in their
+files: not in where they lie, in the length of their paths or in bytecode
+left behind by earlier runs (with PYTHONDONTWRITEBYTECODE set, every
+start compiles the sources, and a side that had .pyc files would start
+faster).  Every CLI command runs at its defaults in a fresh process,
 REPEATS times per side; the two sides alternate within each repeat, and
 which side goes first alternates between repeats, so a slow spell of a
 shared machine falls on both.  For each side and command the file records
@@ -36,9 +43,11 @@ import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from time import perf_counter
 
 COMMANDS = (("table1",), ("table2",), ("figures",), ("experiment3",),
@@ -51,6 +60,18 @@ TIER1_REPEATS = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 TIMEOUT_S = 600
+# left out of each side's copy
+NOT_COPIED = (".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis")
+
+
+def sibling_copies(sides, tmp):
+    """Copy each side's checkout to tmp/<side>; returns {side: copy}."""
+    ignore = shutil.ignore_patterns(*NOT_COPIED)
+    copies = {}
+    for name, root in sides.items():
+        copies[name] = os.path.join(tmp, name)
+        shutil.copytree(root, copies[name], ignore=ignore)
+    return copies
 
 
 def _env(root):
@@ -217,16 +238,16 @@ def main(argv=None):
                     help="also time the tier-1 test suite on each side")
     ap.add_argument("--out", default=None, help="output path (default stdout)")
     args = ap.parse_args(argv)
-    sides = {"parent": args.parent, "change": args.change}
-
-    report = {"machine": machine(),
-              "sides": list(sides),
-              "repeats": REPEATS,
-              "commands": bench_commands(sides)}
-    if args.tier1:
-        report["tier1"] = {"repeats": TIER1_REPEATS, **bench_tier1(sides)}
-    if args.perfbench_seeds:
-        report["perfbench"] = bench_perfbench(sides, args.perfbench_seeds)
+    with tempfile.TemporaryDirectory(prefix="run_bench-") as tmp:
+        sides = sibling_copies({"parent": args.parent, "change": args.change}, tmp)
+        report = {"machine": machine(),
+                  "sides": list(sides),
+                  "repeats": REPEATS,
+                  "commands": bench_commands(sides)}
+        if args.tier1:
+            report["tier1"] = {"repeats": TIER1_REPEATS, **bench_tier1(sides)}
+        if args.perfbench_seeds:
+            report["perfbench"] = bench_perfbench(sides, args.perfbench_seeds)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -16,7 +16,7 @@ from .eigenvalues import (EigenvalueRecord, MatchFailure, OracleUnreliable,
                           lambda_direct, lambda_log, lambda_odd,
                           lambda_quadrature, mu)
 from .elliptic import (complete_E, complete_F, complete_F_minus_E,
-                       exponent_term, incomplete_E, incomplete_F)
+                       exponent_term)
 from .legendre import (QuadratureRule, gauss_legendre, legendre_value,
                        normalized_legendre_at_zero,
                        normalized_legendre_deriv_at_zero,
@@ -38,7 +38,7 @@ __all__ = [
     "build_matrix", "chi", "chi_lower", "chi_upper", "complete_E",
     "complete_F", "complete_F_minus_E", "count_above", "delta_of_n",
     "eigenvalue_record", "eta", "exponent_term", "g_n_value",
-    "gauss_legendre", "incomplete_E", "incomplete_F", "k0",
+    "gauss_legendre", "k0",
     "lambda_chi_bound", "lambda_direct", "lambda_gamma_bound", "lambda_log",
     "lambda_odd", "lambda_quadrature", "legendre_value", "mode", "mu",
     "normalized_legendre_at_zero", "normalized_legendre_deriv_at_zero",

@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dtbtrs
 
+from ._lapack import dgtsv, dtbtrs
 from .legendre import gauss_legendre
 from .logscale import LogScaledReal, signed_log_sum
 from .spectrum import ProlateContext, ProlateMode, psi_value

@@ -1,4 +1,4 @@
-"""Complete and incomplete elliptic integrals, and the shared decay exponent.
+"""Complete elliptic integrals, and the shared decay exponent.
 
 Complete integrals use the arithmetic-geometric mean, which stays uniformly
 accurate as the modulus approaches one (the deep-tail regime where the
@@ -10,8 +10,6 @@ even for small modulus where F and E agree to many digits.
 from __future__ import annotations
 
 import math
-
-_QUAD_TOL = 1e-13
 
 
 def _agm_scale(kprime_sq: float, k_sq: float | None = None):
@@ -65,30 +63,6 @@ def complete_F_minus_E(k: float) -> float:
     _check_modulus(k, allow_one=False)
     big_k, s = _agm_scale((1.0 - k) * (1.0 + k), k * k)
     return big_k * s
-
-
-def incomplete_F(y: float, k: float) -> float:
-    """First-kind incomplete integral over [0, y], 0 <= y <= pi/2."""
-    from scipy.integrate import quad  # here, so `import prolate` skips it
-    if not 0.0 <= y <= math.pi / 2:
-        raise ValueError("amplitude must lie in [0, pi/2]")
-    _check_modulus(k, allow_one=(y < math.pi / 2))
-    k2 = k * k
-    val, _ = quad(lambda t: 1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2),
-                  0.0, y, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return val
-
-
-def incomplete_E(y: float, k: float) -> float:
-    """Second-kind incomplete integral over [0, y], 0 <= y <= pi/2."""
-    from scipy.integrate import quad  # here, so `import prolate` skips it
-    if not 0.0 <= y <= math.pi / 2:
-        raise ValueError("amplitude must lie in [0, pi/2]")
-    _check_modulus(k)
-    k2 = k * k
-    val, _ = quad(lambda t: math.sqrt(1.0 - k2 * math.sin(t) ** 2),
-                  0.0, y, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return val
 
 
 def exponent_term(c: float, chi: float) -> float:

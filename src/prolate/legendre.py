@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsterf
+
+from ._lapack import dsterf
 
 
 def _check_degree(k):

@@ -3,13 +3,14 @@
 In the normalized-Legendre basis the operator is an infinite symmetric
 matrix coupling only degrees of equal parity, so each parity class gives a
 tridiagonal block.  Selected eigenvalues come from bisection with Sturm
-counts and eigenvectors from inverse iteration (LAPACK stebz/stein through
-scipy), which keeps the cost O(dim) per mode and reaches c = 1e5 at desk
-scale.  Truncation is never trusted blindly: the dimension is estimated
-from a bound on the coefficient decay, and a solve is accepted only when
-its coefficient tail has died off and the residual of its eigenvector in
-the infinite operator is within the eigenvalue tolerance; otherwise the
-dimension is doubled.
+counts and eigenvectors from inverse iteration (LAPACK dstebz/dstein, which
+eigh_tridiagonal below calls through the package's _lapack loader, so that
+scipy.linalg itself is never imported), which keeps the cost O(dim) per
+mode and reaches c = 1e5 at desk scale.  Truncation is never trusted
+blindly: the dimension is estimated from a bound on the coefficient decay,
+and a solve is accepted only when its coefficient tail has died off and the
+residual of its eigenvector in the infinite operator is within the
+eigenvalue tolerance; otherwise the dimension is doubled.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import dstebz, dstein
 from .legendre import even_values_at_zero, legendre_sweep, odd_derivs_at_zero
 
 CHI_RTOL = 1e-10       # eigenvalue accuracy, relative
@@ -40,7 +41,37 @@ _EPS = np.finfo(float).eps
 
 
 class TruncationNotConverged(RuntimeError):
-    """No admissible matrix dimension resolved the requested quantity."""
+    """No admissible matrix dimension resolved the requested quantity, or
+    the LAPACK eigensolver reported failure on a block."""
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, idx: int):
+    """Eigenvalue idx (counted from 0, ascending) of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e, and its unit
+    eigenvector.
+
+    The same two LAPACK calls that scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(idx, idx)) makes with its default tolerance,
+    so the results are bitwise scipy's: dstebz bisects to eps times the
+    1-norm of the matrix, dstein finds the vector by inverse iteration.
+    Like scipy, it refuses non-finite entries with ValueError; a nonzero
+    LAPACK info raises TruncationNotConverged.
+    """
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("array must not contain infs or NaNs")
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, idx + 1, idx + 1,
+                                        0.0, "B")
+    _check_info("dstebz", info, d.size, idx)
+    v, info = dstein(d, e, w[:m], iblock, isplit)
+    _check_info("dstein", info, d.size, idx)
+    return float(w[0]), v[:, 0]
+
+
+def _check_info(routine: str, info: int, rows: int, idx: int) -> None:
+    if info:
+        raise TruncationNotConverged(
+            f"LAPACK {routine} failed with info = {info} on the {rows}-row "
+            f"block (eigenvalue index {idx})")
 
 
 @dataclass(frozen=True)
@@ -244,11 +275,8 @@ class ProlateContext:
         # one row more than the block: its coupling to the last row of the
         # block is the residual's only entry
         band = self.band(n % 2, dim + 1)
-        idx = n // 2
-        vals, vecs = eigh_tridiagonal(band.diag[:-1], band.offdiag[:-1],
-                                      select="i", select_range=(idx, idx))
-        vec = vecs[:, 0]
-        return float(vals[0]), vec, abs(band.offdiag[-1] * vec[-1]), _noise(band)
+        chi_val, vec = eigh_tridiagonal(band.diag[:-1], band.offdiag[:-1], n // 2)
+        return chi_val, vec, abs(band.offdiag[-1] * vec[-1]), _noise(band)
 
     @staticmethod
     def _tail_ok(vec: np.ndarray) -> bool:

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from prolate import MatchFailure, ProlateContext, bound_report, cli
+from prolate import MatchFailure, ProlateContext, bound_report, cli, spectrum
 
 
 def run_cli(*args):
@@ -181,19 +181,36 @@ def test_lowest_supported_band_limit_works(capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["0", "1", "2", "6", "12"]
 
 
-def test_commands_do_not_load_optimize_or_integrate():
-    # the runtime needs numpy and scipy.linalg only; scipy.optimize and
-    # scipy.integrate cost a fresh process about 0.25 s of imports
+def test_commands_do_not_load_linalg_optimize_or_integrate():
+    # the runtime needs numpy and scipy's LAPACK extension file only; the
+    # package imports of scipy.linalg, scipy.optimize and scipy.integrate
+    # would cost a fresh process about 0.6 s together
     code = ("import contextlib, io, sys\n"
+            "import prolate\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy.linalg', 'scipy.optimize',\n"
+            "                        'scipy.integrate') if m in sys.modules]\n"
+            "after_import = loaded()\n"
             "from prolate import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = cli.main(['table1'])\n"
-            "loaded = [m for m in ('scipy.optimize', 'scipy.integrate')\n"
-            "          if m in sys.modules]\n"
-            "print(rc, loaded)\n")
+            "print(after_import, rc, loaded(),\n"
+            "      sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=600)
-    assert proc.stdout == "0 []\n", proc.stderr
+    assert proc.stdout == "[] 0 [] ['scipy.linalg._flapack']\n", proc.stderr
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_failure_is_numerical_non_convergence(monkeypatch, routine):
+    real = getattr(spectrum, routine)
+    # the routine's own outputs, with info (always the last) set to 1
+    monkeypatch.setattr(spectrum, routine, lambda *a: (*real(*a)[:-1], 1))
+    rc, out, err = run_cli("report", "--c", "10", "--n", "2")
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("numerical non-convergence: ")
+    assert f"LAPACK {routine} failed with info = 1" in err
 
 
 @pytest.mark.parametrize("argv", [["report", "--large", "--n", "2"],

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from prolate import (complete_E, complete_F, complete_F_minus_E,
-                     exponent_term, incomplete_E, incomplete_F)
+from prolate import complete_E, complete_F, complete_F_minus_E, exponent_term
 from prolate.sequences import g_n_value
 
 
@@ -67,38 +66,6 @@ def test_small_complement_expansion():
         val = complete_E(math.sqrt(1.0 - kp * kp))
         expect = 1.0 + (-0.25 + math.log(2.0) - math.log(kp) / 2.0) * kp * kp
         assert abs(val - expect) < 50.0 * kp**4 * abs(math.log(kp)) + 1e-14
-
-
-def test_incomplete_reduces_to_complete():
-    for k in (0.0, 0.4, 0.9):
-        assert incomplete_F(math.pi / 2, k) == pytest.approx(complete_F(k), rel=1e-11)
-        assert incomplete_E(math.pi / 2, k) == pytest.approx(complete_E(k), rel=1e-11)
-
-
-def test_incomplete_trivials():
-    for y in (0.0, 0.3, 1.2):
-        assert incomplete_E(y, 0.0) == pytest.approx(y, abs=1e-13)
-        assert incomplete_F(y, 0.0) == pytest.approx(y, abs=1e-13)
-
-
-def test_incomplete_against_substituted_form():
-    # same integral after x = sin t
-    y, k = 1.0, 0.6
-    sub_F, _ = quad(lambda x: 1 / math.sqrt((1 - x * x) * (1 - (k * x)**2)),
-                    0, math.sin(y), epsabs=1e-13, epsrel=1e-13)
-    sub_E, _ = quad(lambda x: math.sqrt((1 - (k * x)**2) / (1 - x * x)),
-                    0, math.sin(y), epsabs=1e-13, epsrel=1e-13)
-    assert incomplete_F(y, k) == pytest.approx(sub_F, rel=1e-11)
-    assert incomplete_E(y, k) == pytest.approx(sub_E, rel=1e-11)
-
-
-def test_incomplete_domain_errors():
-    with pytest.raises(ValueError):
-        incomplete_F(2.0, 0.5)
-    with pytest.raises(ValueError):
-        incomplete_F(math.pi / 2, 1.0)
-    with pytest.raises(ValueError):
-        incomplete_E(0.5, 1.5)
 
 
 def test_exponent_term_at_lower_edge():
