@@ -29,7 +29,13 @@ With --perfbench-seeds, each seed is also one alternating pair of
 `perfbench/run.py` runs per workload, each side running its own checkout's
 benchmark; the file then holds every run's end-to-end metrics, each side's
 median and quartiles, and how many pairs each side won (lower is better for
-every one of these metrics).
+every one of these metrics).  It also states the standing gate itself:
+per workload, `rows_sha256_equal` (the two sides printed the same rows in
+every pair), and for each end-to-end metric of the change's BENCHMARK.json
+`gain_shown` (the change won at least 9 in 10 of the pairs and its median
+beats the parent's by more than the parent's interquartile range) and
+`within_bound` (the change median is at most the parent median times
+1 + the metric's bound).
 
 Only the standard library is used, so the script adds no import time of its
 own to what it measures.
@@ -148,6 +154,30 @@ def bench_tier1(sides):
     return {name: _summarise(r, "tally") for name, r in runs.items()}
 
 
+def gate(parent, change, bound):
+    """The standing verdict on one lower-is-better end-to-end metric.
+
+    parent[i] and change[i] are the metric in pair i.  gain_shown: the
+    change won at least 9 in 10 of the pairs, and its median lies below the
+    parent's by more than the parent's interquartile range.  within_bound:
+    the change median is at most the parent median times (1 + bound).
+    """
+    won = sum(c < p for p, c in zip(parent, change, strict=True))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = _quartiles(parent)
+    return {"gain_shown": 10 * won >= 9 * len(parent) and p_med - c_med > q3 - q1,
+            "within_bound": c_med <= p_med * (1 + bound)}
+
+
+def end_to_end_metrics(root):
+    """{name: entry} of the end-to-end metrics in root/BENCHMARK.json."""
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    if any(m.get("better", "lower") != "lower" for m in metrics.values()):
+        raise ValueError("gate() judges lower-is-better metrics only")
+    return metrics
+
+
 def run_perfbench(root, workload, seed):
     """One perfbench run of a checkout; returns its end-to-end metrics."""
     proc = subprocess.run([sys.executable, "perfbench/run.py",
@@ -168,6 +198,7 @@ def run_perfbench(root, workload, seed):
 
 
 def bench_perfbench(sides, seeds):
+    end_to_end = end_to_end_metrics(sides["change"])
     out = {}
     for workload in WORKLOADS:
         runs = {name: [] for name in sides}
@@ -190,9 +221,16 @@ def bench_perfbench(sides, seeds):
                 "parent": sum(p[metric] < c[metric] for p, c in pairs),
                 "change": sum(c[metric] < p[metric] for p, c in pairs),
             }
+            if metric in end_to_end:
+                entry.update(gate([p[metric] for p, _ in pairs],
+                                  [c[metric] for _, c in pairs],
+                                  end_to_end[metric]["bound"]))
             summary[metric] = entry
-        out[workload] = {"seconds": PERFBENCH_SECONDS, "summary": summary,
-                         "runs": runs}
+        out[workload] = {
+            "seconds": PERFBENCH_SECONDS,
+            "rows_sha256_equal": all(p["rows_sha256"] == c["rows_sha256"]
+                                     for p, c in pairs),
+            "summary": summary, "runs": runs}
     return out
 
 

@@ -17,10 +17,7 @@ from .eigenvalues import (EigenvalueRecord, MatchFailure, OracleUnreliable,
                           lambda_quadrature, mu)
 from .elliptic import (complete_E, complete_F, complete_F_minus_E,
                        exponent_term)
-from .legendre import (QuadratureRule, gauss_legendre, legendre_value,
-                       normalized_legendre_at_zero,
-                       normalized_legendre_deriv_at_zero,
-                       normalized_legendre_value)
+from .legendre import QuadratureRule, gauss_legendre
 from .logscale import LogScaledReal, signed_log_sum
 from .sequences import (SequenceTrace, g_n_value, lambda_gamma_bound,
                         product_lower_bound, trace)
@@ -38,11 +35,9 @@ __all__ = [
     "build_matrix", "chi", "chi_lower", "chi_upper", "complete_E",
     "complete_F", "complete_F_minus_E", "count_above", "delta_of_n",
     "eigenvalue_record", "eta", "exponent_term", "g_n_value",
-    "gauss_legendre", "k0",
-    "lambda_chi_bound", "lambda_direct", "lambda_gamma_bound", "lambda_log",
-    "lambda_odd", "lambda_quadrature", "legendre_value", "mode", "mu",
-    "normalized_legendre_at_zero", "normalized_legendre_deriv_at_zero",
-    "normalized_legendre_value", "nu", "p0", "product_lower_bound",
-    "psi_value", "report_delta", "signed_log_sum", "trace", "xi",
-    "xi_threshold", "xi_value", "zeta", "zeta_hypothesis",
+    "gauss_legendre", "k0", "lambda_chi_bound", "lambda_direct",
+    "lambda_gamma_bound", "lambda_log", "lambda_odd", "lambda_quadrature",
+    "mode", "mu", "nu", "p0", "product_lower_bound", "psi_value",
+    "report_delta", "signed_log_sum", "trace", "xi", "xi_threshold",
+    "xi_value", "zeta", "zeta_hypothesis",
 ]

@@ -357,15 +357,15 @@ def psi_value(m: ProlateMode, x):
     t, inverse = np.unique(np.abs(x_arr).ravel(), return_inverse=True)
     if not np.all(t <= 1.0):   # NaN fails the comparison too
         raise ValueError("argument outside [-1, 1]")
-    scale = m.coeffs * np.sqrt(m.degrees() + 0.5)
+    scale = (m.coeffs * np.sqrt(m.degrees() + 0.5)).tolist()
     acc = np.zeros_like(t)
     if m.parity == 0:
         acc += scale[0]
     term = np.empty_like(t)
     for deg, p, _ in legendre_sweep(t, m.parity + 2 * (m.dim - 1)):
         if deg % 2 == m.parity:
-            np.multiply(p, scale[deg // 2], out=term)
-            acc += term
+            np.multiply(p, scale[deg // 2], term)
+            np.add(acc, term, acc)
     vals = acc[inverse].reshape(x_arr.shape)
     if m.parity == 1:
         np.negative(vals, out=vals, where=x_arr < 0)

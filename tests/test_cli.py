@@ -87,6 +87,48 @@ def test_verify_quick_passes():
     assert "checks passed" in err
 
 
+def test_verify_c_narrows_only_chi_structure_and_principal_chain():
+    # route agreement, the sequence theorems, H/G and nu keep their own
+    # grids, so rows at other band limits still appear
+    rc, out, _ = run_cli("verify", "--quick", "--c", "10")
+    assert rc == 0
+    band_limits = {}
+    for line in out.splitlines()[1:]:
+        suite, _, c = line.split(",")[:3]
+        band_limits.setdefault(suite, set()).add(c)
+    assert band_limits["principal"] == {"10"}
+    # and chi-structure's small-c limit check, which runs at c = 1e-4
+    assert band_limits["chi_structure"] == {"10", "0.0001"}
+    assert band_limits["routes"] == {"30"}
+    assert band_limits["sequences"] == {"15", "40", "100", "300"}
+    assert band_limits["hg"] == {""}
+    assert "10" not in band_limits["nu"] | band_limits["negative_control"]
+
+
+@pytest.mark.parametrize("c,rows", [("0.1", 0), ("0.5", 0), ("1", 0), ("1.1", 1)])
+def test_figures_window_at_small_c(c, rows):
+    # the window from the first even n above 2c/pi to 2c/pi + 20 log c is
+    # empty for c <= 1: the command prints only the header and exits 0
+    rc, out, _ = run_cli("figures", "--c", c)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "c,n,log_abs_lambda,log_zeta" and len(lines) == 1 + rows
+
+
+def test_experiment3_at_c_100_fails_only_the_empirical_comparison():
+    # at c <= 300 some rows miss log|lambda_n| < -delta(n); the rigorous
+    # comparisons lambda < zeta < xi, and -delta < zeta, hold in every row
+    rc, out, _ = run_cli("experiment3", "--c", "100", "--format", "json")
+    assert rc == 1
+    rows = json.loads(out)
+    missed = [r for r in rows if not r["ordered"]]
+    assert 0 < len(missed) < len(rows)
+    for r in rows:
+        assert r["log_abs_lambda"] < r["log_zeta"] < r["log_xi"]
+        assert r["neg_delta"] < r["log_zeta"]
+    assert all(r["log_abs_lambda"] >= r["neg_delta"] for r in missed)
+
+
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_all",
                         lambda cfg, quick=False: [{"suite": "s", "check": "x",

@@ -3,12 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
-from prolate import (QuadratureRule, gauss_legendre, legendre_value,
-                     normalized_legendre_at_zero,
-                     normalized_legendre_deriv_at_zero,
-                     normalized_legendre_value)
-from prolate.legendre import (even_values_at_zero, legendre_sweep,
+from prolate import QuadratureRule, gauss_legendre
+from prolate.legendre import (dsterf, even_values_at_zero, legendre_sweep,
                               odd_derivs_at_zero)
 
 
@@ -17,109 +15,108 @@ def degree6_closed_form(x):
     return (231 * x**6 - 315 * x**4 + 105 * x**2 - 5) / 16.0
 
 
+def normalized(k, t):
+    # independent oracle: numpy's Clenshaw sum, normalized to unit L2 norm
+    return npleg.legval(t, [0.0] * k + [1.0]) * math.sqrt(k + 0.5)
+
+
+def sweep_to(x, k):
+    """A copy of P_k(x) from legendre_sweep, k >= 0."""
+    for _, p, p_prev in legendre_sweep(np.asarray(x, dtype=float), max(k, 1)):
+        pass
+    return (p if k else p_prev).copy()
+
+
+def textbook_loop(k, t):
+    """(P_k(t), P_k'(t)) for a float t, by the upward value and derivative
+    recurrences written out in Python floats."""
+    p_prev, p, d_prev, d = 1.0, t, 0.0, 1.0
+    if k == 0:
+        return p_prev, d_prev
+    for j in range(1, k):
+        p_prev, p, d_prev, d = (p, ((2 * j + 1) * t * p - j * p_prev) / (j + 1),
+                                d, d_prev + (2 * j + 1) * p)
+    return p, d
+
+
 def test_base_cases():
-    assert legendre_value(0, 0.3) == 1.0
-    assert legendre_value(1, -0.25) == -0.25
+    x = np.array([-0.25, 0.3])
+    steps = legendre_sweep(x, 2)
+    k, p, p_prev = next(steps)
+    assert k == 1 and p.tolist() == x.tolist() and p_prev.tolist() == [1.0, 1.0]
+    k, p, p_prev = next(steps)
+    assert k == 2 and p_prev.tolist() == x.tolist()
+    assert p == pytest.approx((3 * x * x - 1) / 2, abs=1e-16)
 
 
 def test_degree_six_against_closed_form():
-    for x in (-1.0, -0.7, 0.0, 0.3, 0.7, 1.0):
-        assert legendre_value(6, x) == pytest.approx(degree6_closed_form(x), abs=1e-14)
+    x = np.array([-1.0, -0.7, 0.0, 0.3, 0.7, 1.0])
+    assert sweep_to(x, 6) == pytest.approx(degree6_closed_form(x), abs=1e-14)
 
 
 def test_recurrence_consistency_random():
-    rng = np.random.default_rng(42)
-    for _ in range(60):
-        k = int(rng.integers(1, 200))
-        t = float(rng.uniform(-1, 1))
-        lhs = (k + 1) * legendre_value(k + 1, t)
-        rhs = (2 * k + 1) * t * legendre_value(k, t) - k * legendre_value(k - 1, t)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+    # every degree up to 200 at 60 random points, against numpy's Clenshaw sum
+    t = np.random.default_rng(42).uniform(-1, 1, 60)
+    for k, p, _ in legendre_sweep(t, 200):
+        assert p == pytest.approx(npleg.legval(t, [0.0] * k + [1.0]), abs=1e-12)
 
 
 def test_bounded_by_one():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        k = int(rng.integers(0, 150))
-        t = float(rng.uniform(-1, 1))
-        assert abs(legendre_value(k, t)) <= 1.0 + 1e-14
-
-
-def test_domain_and_degree_errors():
-    with pytest.raises(ValueError):
-        legendre_value(3, 1.5)
-    with pytest.raises(ValueError):
-        legendre_value(-1, 0.0)
-    with pytest.raises(ValueError):
-        normalized_legendre_value(2, -1.01)
-
-
-def test_domain_refuses_nan():
-    from prolate.legendre import legendre_deriv_value
-    for f in (legendre_value, legendre_deriv_value, normalized_legendre_value):
-        for t in (float("nan"), np.array([0.0, 0.5, np.nan]), [[np.nan, 1.0]]):
-            with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
-                f(3, t)
-
-
-def test_normalized_values():
-    assert normalized_legendre_value(0, 0.77) == pytest.approx(math.sqrt(0.5))
-    assert normalized_legendre_value(2, 0.0) == pytest.approx(-0.5 * math.sqrt(2.5))
+    t = np.random.default_rng(7).uniform(-1, 1, 40)
+    for _, p, _ in legendre_sweep(t, 150):
+        assert np.max(np.abs(p)) <= 1.0 + 1e-14
 
 
 def test_normalized_unit_norm_by_quadrature():
     rule = gauss_legendre(12)
     for k in (0, 1, 3, 8):
-        val = rule.integrate(lambda t, k=k: normalized_legendre_value(k, t) ** 2)
+        val = rule.integrate(lambda t, k=k: normalized(k, t) ** 2)
         assert val == pytest.approx(1.0, abs=1e-13)
 
 
 def test_orthogonality_by_quadrature():
     rule = gauss_legendre(6)
-    val = rule.integrate(lambda t: normalized_legendre_value(3, t)
-                         * normalized_legendre_value(5, t))
+    val = rule.integrate(lambda t: normalized(3, t) * normalized(5, t))
     assert abs(val) < 1e-12
 
 
 def test_orthonormality_pairs():
     for j, k in ((0, 4), (2, 2), (1, 7), (5, 5), (6, 2)):
         rule = gauss_legendre(max(j, k) + 1)
-        val = rule.integrate(lambda t: normalized_legendre_value(j, t)
-                             * normalized_legendre_value(k, t))
+        val = rule.integrate(lambda t: normalized(j, t) * normalized(k, t))
         assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-12)
 
 
 def test_values_at_zero():
-    assert normalized_legendre_at_zero(0) == pytest.approx(math.sqrt(0.5))
-    assert normalized_legendre_at_zero(1) == 0.0
-    assert normalized_legendre_at_zero(2) == pytest.approx(-0.5 * math.sqrt(2.5))
-    # ratio chain against direct evaluation, including a large degree
+    ev = even_values_at_zero(101)
+    assert ev[0] == pytest.approx(math.sqrt(0.5))
+    assert ev[1] == pytest.approx(-0.5 * math.sqrt(2.5))
+    # ratio chain against the recurrence run to t = 0, including a large degree
     for k in (4, 10, 36, 200):
-        assert normalized_legendre_at_zero(k) == pytest.approx(
-            normalized_legendre_value(k, 0.0), rel=1e-13)
-    assert np.isfinite(normalized_legendre_at_zero(100000))
+        assert ev[k // 2] == pytest.approx(
+            textbook_loop(k, 0.0)[0] * math.sqrt(k + 0.5), rel=1e-13)
+    assert np.isfinite(even_values_at_zero(50001)[-1])
 
 
 def test_derivs_at_zero():
-    assert normalized_legendre_deriv_at_zero(0) == 0.0
-    assert normalized_legendre_deriv_at_zero(1) == pytest.approx(math.sqrt(1.5))
+    od = odd_derivs_at_zero(21)
+    assert od[0] == pytest.approx(math.sqrt(1.5))
     # P'_3(0) = -3/2
-    assert normalized_legendre_deriv_at_zero(3) == pytest.approx(-1.5 * math.sqrt(3.5))
-    from prolate.legendre import legendre_deriv_value
+    assert od[1] == pytest.approx(-1.5 * math.sqrt(3.5))
     for k in (5, 11, 41):
-        assert normalized_legendre_deriv_at_zero(k) == pytest.approx(
-            legendre_deriv_value(k, 0.0) * math.sqrt(k + 0.5), rel=1e-13)
+        assert od[k // 2] == pytest.approx(
+            textbook_loop(k, 0.0)[1] * math.sqrt(k + 0.5), rel=1e-13)
 
 
 def test_weight_tables_match_scalars():
-    # degrees up to 2e4; the scalars read the same ratio chain, so a
-    # table entry must not depend on the length of the table it is in
+    # degrees up to 2e4; each entry equals the last entry of the shortest
+    # table that holds it, so an entry does not depend on its table's length
     count = 10001
     ev = even_values_at_zero(count)
     od = odd_derivs_at_zero(count)
     for j in [*range(6), *range(6, count, 97), count - 1]:
-        assert ev[j] == normalized_legendre_at_zero(2 * j)
-        assert od[j] == normalized_legendre_deriv_at_zero(2 * j + 1)
+        assert ev[j] == even_values_at_zero(j + 1)[-1]
+        assert od[j] == odd_derivs_at_zero(j + 1)[-1]
 
 
 def _ratio_loop(count, parity):
@@ -158,7 +155,7 @@ def test_gauss_rule_structure():
         # evaluating P_m at a true root leaves ~m^1.5 eps of recurrence noise,
         # so the strict residual figure is only measurable at moderate m
         floor = max(1e-14, 5e-16 * m**1.5)
-        assert np.max(np.abs(legendre_value(m, rule.nodes))) < floor
+        assert np.max(np.abs(sweep_to(rule.nodes, m))) < floor
 
 
 def test_gauss_exactness_on_monomials():
@@ -181,8 +178,10 @@ def test_rule_is_immutable():
 
 
 def test_gauss_size_validation():
-    with pytest.raises(ValueError):
-        gauss_legendre(0)
+    # bool is an int subclass, and True used to give the 1-point rule
+    for m in (0, -3, True, False, 2.0):
+        with pytest.raises(ValueError, match="rule size must be a positive integer"):
+            gauss_legendre(m)
 
 
 @pytest.mark.parametrize("m", [300, 1100])
@@ -250,7 +249,6 @@ def test_every_nonnegative_node_against_40_digit_reference(m):
 def _two_sweep_nodes(m):
     """Nodes of the rule that swept P_m twice: a Newton step at the dsterf
     guesses, then a second sweep at the polished nodes for the weights."""
-    from prolate.legendre import dsterf
     h = (m + 1) // 2
     k = np.arange(1.0, m)
     b = np.zeros(2 * h + 1)
@@ -292,15 +290,106 @@ def test_gauss_rule_is_one_half_size_sweep(monkeypatch, m):
     assert sweeps == [(m, (m + 1) // 2)]
 
 
+def textbook_sweep(x, top):
+    """(k, P_k(x), P_{k-1}(x)) for k = 1 .. top, each step written as one
+    array expression, ((2j + 1) x) P_j - j P_{j-1} over j + 1."""
+    p_prev, p = np.ones_like(x), x.copy()
+    yield 1, p, p_prev
+    for j in range(1, top):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        yield j + 1, p, p_prev
+
+
+def five_call_sweep(x, top):
+    """The sweep as it was before the factors came in blocks: five in-place
+    ufunc calls per step, with int scalars passed by keyword."""
+    prev = np.ones_like(x)
+    cur = x.copy()
+    tmp = np.empty_like(x)
+    yield 1, cur, prev
+    for j in range(1, top):
+        np.multiply(x, 2 * j + 1, out=tmp)
+        np.multiply(tmp, cur, out=tmp)
+        np.multiply(prev, j, out=prev)
+        np.subtract(tmp, prev, out=prev)
+        np.divide(prev, j + 1, out=prev)
+        prev, cur = cur, prev
+        yield j + 1, cur, prev
+
+
+def assert_same_steps(got, want):
+    count = 0
+    for (k, p, p_prev), (k_ref, p_ref, p_prev_ref) in zip(got, want,
+                                                          strict=True):
+        assert k == k_ref and type(k) is int
+        assert p.tobytes() == p_ref.tobytes()
+        assert p_prev.tobytes() == p_prev_ref.tobytes()
+        count += 1
+    return count
+
+
 @pytest.mark.parametrize("top", [1, 2, 7, 60])
 def test_legendre_sweep_matches_legendre_value(top):
+    # the textbook loop the scalar legendre_value ran, copied here
     x = np.array([-1.0, -0.7, -0.0, 0.0, 0.3, 1.0])
-    seen = []
-    for k, p, p_prev in legendre_sweep(x, top):
-        assert p.tobytes() == legendre_value(k, x).tobytes()
-        assert p_prev.tobytes() == legendre_value(k - 1, x).tobytes()
-        seen.append(k)
-    assert seen == list(range(1, top + 1))
+    steps = assert_same_steps(legendre_sweep(x, top), textbook_sweep(x, top))
+    assert steps == top
+
+
+SWEEP_POINTS = [
+    np.array([]),
+    np.array([0.5]),
+    np.array([-1.0, -0.0, 0.0, 1.0, 0.25, -0.6, 0.999]),
+    np.random.default_rng(3).uniform(-1.0, 1.0, 129),
+]
+
+
+@pytest.mark.parametrize("top", [1, 2, 31, 32, 33, 64, 65, 1701])
+@pytest.mark.parametrize("points", range(len(SWEEP_POINTS)))
+def test_legendre_sweep_bitwise_equal_five_call_loop(top, points):
+    # block edges at 32 and 64 degrees, and one degree either side of them
+    x = SWEEP_POINTS[points]
+    steps = assert_same_steps(legendre_sweep(x, top), five_call_sweep(x, top))
+    assert steps == top
+
+
+@pytest.mark.parametrize("top", [0, -1])
+def test_legendre_sweep_refuses_top_below_one(top):
+    with pytest.raises(ValueError, match="at least 1"):
+        list(legendre_sweep(np.array([0.5]), top))
+
+
+def five_call_rule(m):
+    """Nodes and weights of the m-point rule with five_call_sweep in place
+    of legendre_sweep, the rest of gauss_legendre copied here."""
+    h = (m + 1) // 2
+    k = np.arange(1.0, m)
+    b = np.zeros(2 * h + 1)
+    b[1:m] = k / np.sqrt(4.0 * k * k - 1.0)
+    diag = b[0:2 * h:2] ** 2 + b[1:2 * h:2] ** 2
+    off = b[1:2 * h:2] * b[2:2 * h + 1:2]
+    y, _ = dsterf(diag, off[:max(h - 1, 1)])
+    if m % 2:
+        y[0] = 0.0
+    x0 = np.sqrt(y)
+    for _, p, p_prev in five_call_sweep(x0, m):
+        pass
+    d = m * (x0 * p - p_prev) / (x0 * x0 - 1.0)
+    step = -p / d
+    d += step * (2.0 * x0 * d - m * (m + 1) * p) / (1.0 - x0 * x0)
+    x = x0 + step
+    w = 2.0 / ((1.0 - x * x) * d * d)
+    neg = m - h
+    return (np.concatenate((-x[::-1][:neg], x)),
+            np.concatenate((w[::-1][:neg], w)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 33, 34, 65, 1101])
+def test_gauss_rule_bitwise_equal_five_call_rule(m):
+    rule = gauss_legendre(m)
+    nodes, weights = five_call_rule(m)
+    assert rule.nodes.tobytes() == nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
 
 
 def test_gauss_rule_refuses_failed_eigenvalue_solve(monkeypatch):

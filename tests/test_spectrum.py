@@ -206,6 +206,18 @@ def test_psi_bitwise_equal_full_length_loop(ctx10, ctx100, n):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("c", [0.1, 1000.0])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_psi_bitwise_equal_full_length_loop_at_extreme_c(c, parity):
+    # the smallest band limit the CLI accepts and the largest of the
+    # quadrature oracle, at the first modes and past 2c/pi
+    ctx = ProlateContext(c)
+    x = np.concatenate([np.linspace(-1.0, 1.0, 257), [-0.0, 0.3, -0.3]])
+    for n in (parity, parity + 2 * (int(c / math.pi) + 1)):
+        m = mode(ctx, n)
+        assert psi_value(m, x).tobytes() == _psi_loop(m, x).tobytes()
+
+
 def test_psi_sweeps_each_distinct_magnitude_once(ctx100, monkeypatch):
     from prolate import spectrum
     sizes = []
