@@ -20,8 +20,8 @@ import traceback
 from .bounds import bound_report
 from .eigenvalues import MatchFailure
 from .experiments import (EXP3_HEADER, FIGURE_HEADER, TABLE1_HEADER,
-                          TABLE2_HEADER, VERIFY_HEADER, RunConfig,
-                          decay_figure_rows, experiment1, experiment2,
+                          TABLE2_HEADER, TABLE_C, VERIFY_C, VERIFY_HEADER,
+                          RunConfig, decay_figure_rows, experiment1, experiment2,
                           experiment3, failed_rows, rows_to_csv, rows_to_json,
                           verify_all)
 from .spectrum import ProlateContext, TruncationNotConverged
@@ -167,6 +167,13 @@ def _config_c_list(v):
     return tuple(float(x) for x in v)
 
 
+def _config_path(v):
+    # str(None) is "None", so null and numbers would name files
+    if not isinstance(v, str):
+        raise ValueError(f"expected a file path, got {v!r}")
+    return v
+
+
 def _config_int(v):
     # int(2.9) is 2 and int(True) is 1, so only whole numbers may pass
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
@@ -188,7 +195,7 @@ def _apply_config(args, parser):
         "c_list": ("c", _config_c_list),
         "eps": ("eps", lambda v: _parse_eps_list(v if isinstance(v, str) else ",".join(map(str, v)))),
         "format": ("fmt", _config_format),
-        "out": ("out", str),
+        "out": ("out", _config_path),
         "truncation_dim": ("truncation_dim", _config_int),
         "large": ("large", _config_flag),
     }
@@ -243,7 +250,7 @@ def main(argv=None) -> int:
     args.fmt = args.fmt or "csv"
     try:
         if args.command == "table1":
-            cfg = _config_from_args(args, RunConfig.c_list)
+            cfg = _config_from_args(args, TABLE_C)
             rows = experiment1(cfg)
             _emit(rows, TABLE1_HEADER, args)
             bad = failed_rows(rows)
@@ -252,7 +259,7 @@ def main(argv=None) -> int:
                       f"{bad[0]['error']}", file=sys.stderr)
                 return 3
         elif args.command == "table2":
-            cfg = _config_from_args(args, (10.0, 1.0e2, 1.0e3, 1.0e4))
+            cfg = _config_from_args(args, TABLE_C)
             _emit(experiment2(cfg), TABLE2_HEADER, args)
         elif args.command == "figures":
             cfg = _config_from_args(args, (100.0,))
@@ -275,7 +282,7 @@ def main(argv=None) -> int:
             if not all(r["ordered"] for r in rows):
                 return 1
         elif args.command == "verify":
-            cfg = _config_from_args(args, (10.0, 100.0, 1000.0))
+            cfg = _config_from_args(args, VERIFY_C)
             checks = verify_all(cfg, quick=args.quick)
             _emit(checks, VERIFY_HEADER, args)
             failed = sum(not c["passed"] for c in checks)

@@ -6,7 +6,8 @@ leading coefficient by the two-sided treatment of the three-term
 recurrence (T - chi I) v = 0 (Gautschi 1967; Miller's algorithm on the
 decaying side).  The forward rows, through the growth region, are a
 lower-banded triangular solve (LAPACK dtbtrs) in blocks rescaled by powers
-of two; the backward rows, from the decaying tail, are one tridiagonal
+of two (scaled_recurrence, which runs the sequence trace's recurrences
+too); the backward rows, from the decaying tail, are one tridiagonal
 solve (LAPACK dgtsv); the two are matched at the peak of the forward
 profile and kept as signs and logs.  This resolves magnitudes like e^-125
 that are pure rounding noise in any eigenvector.
@@ -109,46 +110,63 @@ def lambda_quadrature(m: ProlateMode, rule=None) -> LogScaledReal:
     return LogScaledReal.from_float(abs(integral / p_star))
 
 
-def _forward_profile(d, e, rows):
-    """v_0 = 1 and v_1 .. v_rows from rows 0 .. rows-1 of (T - chi I) v = 0.
+def scaled_recurrence(diag, sub1, sub2, heads, head_exps):
+    """The heads, then one entry per row of a forward three-term recurrence.
 
-    Returns (vals, exps) with v_j = vals[j] * 2**exps[j].  Row j gives
-    e_j v_{j+1} = -(d_j v_j + e_{j-1} v_{j-1}), so v_1 .. v_rows solve a
-    lower-triangular band with e_j on the diagonal and d_{j+1}, e_{j+1} on
-    the two subdiagonals.  Row j grows max(|v_j|, |v_{j+1}|) by at most
-    (|d_j| + e_{j-1}) / e_j, so the rows are solved in blocks over which
-    that bound stays below 2^500, each block starting from the last two
-    values of the one before, rescaled by a power of two to at most 1.
+    Row j gives diag_j y_{j+1} = -(sub1_j y_j + sub2_j y_{j-1}) from the last
+    two entries so far; entry i is vals[i] * 2**exps[i], the heads included.
+    The rows are a lower-triangular band with diag on the diagonal and
+    sub1, sub2 on the two subdiagonals, solved by LAPACK dtbtrs.  Row j
+    grows max(|y_j|, |y_{j+1}|) by at most (|sub1_j| + |sub2_j|) / |diag_j|,
+    so the rows are solved in blocks over which that bound stays below
+    2^500, each block starting from the last two values of the one before,
+    rescaled by a power of two to at most 1.  Returns (vals, exps).
     """
+    rows, h = len(diag), len(heads)
     ab = np.zeros((3, rows), order="F")    # columns of a block are contiguous
-    ab[0] = e[:rows]
-    ab[1, :-1] = d[1:rows]
-    ab[2, :-2] = e[1:rows - 1]
-    e_prev = np.concatenate(([0.0], e[:rows - 1]))
-    step = np.log((np.abs(d[:rows]) + e_prev) / e[:rows])
+    ab[0] = diag
+    ab[1, :-1] = sub1[1:]
+    ab[2, :-2] = sub2[2:]
+    step = np.log((np.abs(sub1) + np.abs(sub2)) / np.abs(diag))
     # a row whose bound alone passes the limit forms a block of its own
     growth = np.cumsum(np.fmin(np.fmax(step, 0.0), _BLOCK_GROWTH))
 
-    vals = np.empty(rows + 1)
-    exps = np.zeros(rows + 1, dtype=int)
-    vals[0] = 1.0
-    prev, cur, k, a = 0.0, 1.0, 0, 0
+    vals = np.empty(h + rows)
+    exps = np.zeros(h + rows, dtype=int)
+    vals[:h], exps[:h] = heads, head_exps
+    k = int(head_exps[-1])
+    prev, cur, a = math.ldexp(heads[-2], int(head_exps[-2]) - k), heads[-1], 0
     while a < rows:
         base = growth[a - 1] if a else 0.0
         b = max(a + 1, int(np.searchsorted(growth, base + _BLOCK_GROWTH, side="right")))
         s = math.frexp(max(abs(prev), abs(cur)))[1]
         prev, cur, k = math.ldexp(prev, -s), math.ldexp(cur, -s), k + s
         rhs = np.zeros((b - a, 1))
-        rhs[0, 0] = -(d[a] * cur + (e[a - 1] * prev if a else 0.0))
+        rhs[0, 0] = -(sub1[a] * cur + sub2[a] * prev)
         if b - a > 1:
-            rhs[1, 0] = -e[a] * cur
+            rhs[1, 0] = -sub2[a + 1] * cur
         x, info = dtbtrs(ab[:, a:b], rhs, uplo="L")
         if info:
             raise MatchFailure(f"forward system singular at row {a + info - 1}")
-        vals[a + 1:b + 1] = x[:, 0]
-        exps[a + 1:b + 1] = k
-        prev, cur, a = vals[b - 1] if b - a > 1 else cur, vals[b], b
+        vals[h + a:h + b] = x[:, 0]
+        exps[h + a:h + b] = k
+        # a one-row block leaves its previous entry in the old scale
+        prev, cur, a = vals[h + b - 2] if b - a > 1 else cur, vals[h + b - 1], b
     return vals, exps
+
+
+def scaled_logs(vals, exps):
+    """log |vals[i] * 2**exps[i]|, elementwise."""
+    return np.log(np.abs(vals)) + exps * _LN2
+
+
+def _forward_profile(d, e, rows):
+    """v_0 = 1 and v_1 .. v_rows from rows 0 .. rows-1 of (T - chi I) v = 0,
+    as (vals, exps): row j gives e_j v_{j+1} = -(d_j v_j + e_{j-1} v_{j-1})."""
+    vals, exps = scaled_recurrence(e[:rows], d[:rows],
+                                   np.concatenate(([0.0], e[:rows - 1])),
+                                   [0.0, 1.0], [0, 0])
+    return vals[1:], exps[1:]
 
 
 # at tiny c the forward rows can overflow; the non-finite values then fail
@@ -171,7 +189,7 @@ def _two_sided_profile(diag, offdiag, chi, dim):
     j_hi = min(dim - 2, int(math.sqrt(max(chi, 0.0)) / 2.0) + 3)
 
     f_val, f_exp = _forward_profile(d, e, j_hi + 1)
-    f_logs = np.log(np.abs(f_val)) + f_exp * _LN2
+    f_logs = scaled_logs(f_val, f_exp)
     km = int(np.argmax(f_logs[:j_hi + 1]))
 
     rows = dim - 1 - km

@@ -40,6 +40,8 @@ from .sequences import a_new, b_one, b_two, lambda_gamma_bound, product_lower_bo
 from .spectrum import ProlateContext, TruncationNotConverged
 
 TABLE_C = (10.0, 1.0e2, 1.0e3, 1.0e4)
+# verify's band limits, unless a configuration names others
+VERIFY_C = (10.0, 1.0e2, 1.0e3)
 LARGE_C = (1.0e5,)
 DEFAULT_EPS_LOGS = (-50.0, -100.0)
 
@@ -223,7 +225,7 @@ def _check(suite, name, c, n, passed, detail=""):
             "passed": bool(passed), "detail": detail}
 
 
-def verify_chi_structure(c_list=(10.0, 100.0, 1000.0), n_extra=50,
+def verify_chi_structure(c_list=VERIFY_C, n_extra=50,
                          include_limit=True, chi_perturbation=1.0):
     """Trichotomy, the integral sandwich, the square bound, and psi(0).
 
@@ -326,7 +328,7 @@ def principal_window(c: float):
     return range(start, int(math.ceil(hi)), 2)
 
 
-def verify_principal_chain(c_list=(10.0, 100.0, 1000.0)):
+def verify_principal_chain(c_list=VERIFY_C):
     """lambda < zeta < eta on the window; lambda < xi under its hypotheses."""
     checks = []
     for c in c_list:
@@ -489,8 +491,7 @@ def negative_control():
 
 
 def verify_all(cfg: RunConfig | None = None, quick: bool = False):
-    cfg = cfg or RunConfig()
-    c_list = tuple(cfg.c_list)
+    c_list = tuple(cfg.c_list) if cfg is not None else VERIFY_C
     checks = []
     if quick:
         checks += verify_chi_structure(c_list=c_list[:1], n_extra=20)

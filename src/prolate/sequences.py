@@ -7,9 +7,11 @@ rescaling whose recurrence has constant trailing coefficient 1), the
 consecutive-ratio sequence r, and its closed-form minorant sigma.  Each
 monotonicity or domination statement about these sequences is executable,
 so this module materializes them all.  gamma spans hundreds of orders of
-magnitude by the turning index, so the three-term recurrences run in
-plain floats rescaled by exact powers of two, and each sequence is kept
-as a sign array and a log-magnitude array.
+magnitude by the turning index, so each sequence is kept as a sign array
+and a log-magnitude array.  The three-term recurrences run on the one
+blocked solver that also gives lambda_log its forward rows
+(eigenvalues.scaled_recurrence, single-threaded LAPACK rescaled by powers
+of two), so their digits do not depend on the BLAS thread count.
 
 Rational coefficients are evaluated exactly as written (not pre-simplified)
 to keep the code auditable against their defining formulas.  The families
@@ -27,17 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import k0 as turning_index
+from .eigenvalues import scaled_logs, scaled_recurrence
 from .elliptic import exponent_term
 from .logscale import LogScaledArray, LogScaledReal
-
-# a running value is rescaled by a power of two once it leaves this range,
-# far enough inside double range that a step with coefficients up to 2^760
-# cannot overflow; that needs chi / c^2 above 1e228, where the gamma heads
-# already overflow
-_HUGE = 2.0 ** 256
-_TINY = 2.0 ** -256
-_LN2 = math.log(2.0)
-
 
 # -- coefficient families (k is the 1-based sequence index) ------------------
 
@@ -96,36 +90,10 @@ def g_n_value(c: float, chi: float, x: float) -> float:
     return u + math.sqrt(max(u * u - 1.0, 0.0))
 
 
-def _scaled_recurrence(heads, head_exps, p, q, size: int):
-    """Entries 1, 2, ... of x_{j+2} = p_j x_{j+1} + q_j x_j, cut to size.
-
-    Entry j is vals[j] * 2^exps[j].  The heads (with their exponents) are
-    the first entries and the recurrence runs from the last two of them.
-    Before each step the running pair is rescaled by a power of two
-    (exact, by ldexp) if |x| has left [2^-256, 2^256], and each entry
-    keeps the exponent removed so far.  Entry 0 is a placeholder holding
-    zero.
-    """
-    vals = [0.0, *heads]
-    exps = [0, *head_exps]
-    shift = exps[-1]
-    x0, x1 = math.ldexp(vals[-2], exps[-2] - shift), vals[-1]
-    for pj, qj in zip(p.tolist(), q.tolist()):
-        a = abs(x1)
-        if a > _HUGE or 0.0 < a < _TINY:
-            e = math.frexp(x1)[1]
-            x0, x1 = math.ldexp(x0, -e), math.ldexp(x1, -e)
-            shift += e
-        x0, x1 = x1, pj * x1 + qj * x0
-        vals.append(x1)
-        exps.append(shift)
-    return np.array(vals[:size]), np.array(exps[:size])
-
-
 def _log_scaled(vals, exps) -> LogScaledArray:
     """vals * 2^exps as signs and logs; the placeholder entry 0 reads as zero."""
     with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(vals)) + _LN2 * exps
+        logs = scaled_logs(vals, exps)
     logs[0] = np.nan
     return LogScaledArray(np.sign(vals), logs)
 
@@ -166,12 +134,14 @@ def trace(c: float, n: int, chi: float, K: int | None = None) -> SequenceTrace:
         raise ValueError("K must reach at least the turning index + 2")
 
     k = np.arange(1.0, K + 1.0)          # k[j] = j + 1
-    size = K + 1
 
+    # x_{k+2} = p_k x_{k+1} + q_k x_k is solved as -(-p_k x_{k+1} - q_k x_k),
+    # from heads that start with the placeholder entry 0
     # alpha_{k+2} = B_k alpha_{k+1} - A_k alpha_k for k = 1 .. K-2
     ka = k[:K - 2]
-    alpha_vals, exps = _scaled_recurrence([1.0, float(big_b(0, c, chi))], [0, 0],
-                                          big_b(ka, c, chi), -big_a(ka), size)
+    alpha_vals, exps = scaled_recurrence(
+        np.ones(K - 2), -big_b(ka, c, chi), big_a(ka),
+        [0.0, 1.0, float(big_b(0, c, chi))], [0, 0, 0])
     beta_vals = alpha_vals * np.concatenate([[0.0], np.sqrt(2.0 / (4 * k - 3))])
 
     # beta_new_{k+2} = (b_chi_k + 1) beta_new_{k+1}
@@ -180,21 +150,22 @@ def trace(c: float, n: int, chi: float, K: int | None = None) -> SequenceTrace:
     # it shares its first three entries with beta
     kb = k[1:K - 2]
     a_k = a_new(kb)
-    beta_new = _log_scaled(*_scaled_recurrence(
-        beta_vals[1:4].tolist(), exps[1:4].tolist(),
-        b_chi(kb, c, chi) + 1.0 + a_k, -a_k, size))
+    ones = np.ones(kb.size)
+    beta_new = _log_scaled(*scaled_recurrence(
+        ones, -(b_chi(kb, c, chi) + 1.0 + a_k), a_k,
+        beta_vals[:4], exps[:4]))
 
     # gamma_{k+2} = (b_one_k + b_two_k) gamma_{k+1} - gamma_k, k = 2 .. K-2
     v2 = (chi - c * c) / (c * c)
-    heads = [math.sqrt(2.0),
+    heads = [0.0, math.sqrt(2.0),
              8.0 / (7.0 * math.sqrt(2.0)) * (2.0 + 3.0 * v2),
              16.0 * math.sqrt(2.0) / 11.0
              * (3.0 + 15.0 * v2
                 + (105.0 / 8.0) * v2 * (chi - c * c - 6.0) / (c * c)
-                - 105.0 / (2.0 * c * c))]
+                - 105.0 / (2.0 * c * c))][:K + 1]    # K = 2 keeps two heads
     b12 = b_one(k, c, chi) + b_two(k)
-    gamma = _log_scaled(*_scaled_recurrence(
-        heads, [0] * len(heads), b12[1:K - 2], np.full(max(K - 3, 0), -1.0), size))
+    gamma = _log_scaled(*scaled_recurrence(
+        ones, -b12[1:K - 2], ones, heads, [0] * len(heads)))
 
     half = 0.5 * b12
     with np.errstate(invalid="ignore"):
@@ -220,7 +191,7 @@ def product_lower_bound(tr: SequenceTrace) -> LogScaledReal:
         raise ValueError("product bound needs turning index k0 > 2")
     bound_log = -4.0 * math.log(g_n_value(tr.c, tr.chi, 0.0)) \
         + exponent_term(tr.c, tr.chi)
-    product_log = sum(math.log(tr.sigma[k]) for k in range(2, tr.k0))
+    product_log = float(np.sum(np.log(tr.sigma[2:tr.k0])))
     if not product_log > bound_log:
         raise ArithmeticError(
             f"sigma product {product_log:.6e} fails its integral bound "

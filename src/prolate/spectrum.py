@@ -321,11 +321,13 @@ class ProlateContext:
         if cached is not None:
             return cached
         chi_val, vec = self._converged_solve(n)
-        vec = vec / np.linalg.norm(vec)
+        # pairwise sums: OpenBLAS splits a long dot product across its
+        # threads, so the digits would depend on the thread count
+        vec = vec / np.sqrt(np.sum(vec * vec))
         if vec[np.argmax(np.abs(vec))] < 0:
             vec = -vec
         parity = n % 2
-        at_zero = float(vec @ self.weights_at_zero(parity, vec.size))
+        at_zero = float(np.sum(vec * self.weights_at_zero(parity, vec.size)))
         if parity == 0:
             m = ProlateMode(n, self.c, chi_val, parity, vec, at_zero, None)
         else:

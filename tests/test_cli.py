@@ -6,7 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from prolate import MatchFailure, ProlateContext, bound_report, cli, spectrum
+from prolate import (MatchFailure, ProlateContext, bound_report, cli,
+                     experiments, spectrum)
 
 
 def run_cli(*args):
@@ -127,6 +128,34 @@ def test_experiment3_at_c_100_fails_only_the_empirical_comparison():
         assert r["log_abs_lambda"] < r["log_zeta"] < r["log_xi"]
         assert r["neg_delta"] < r["log_zeta"]
     assert all(r["log_abs_lambda"] >= r["neg_delta"] for r in missed)
+
+
+@pytest.mark.parametrize("quick", [False, True])
+def test_verify_library_and_command_share_default_band_limits(monkeypatch, quick):
+    # verify_all() without a configuration once ran chi-structure at
+    # c = 1e4 (about 6 400 solves), while the command ran 10, 100 and 1000
+    seen = []
+
+    def suite(name):
+        def run(*args, c_list=None, **kwargs):
+            if c_list is not None:
+                seen.append((name, tuple(c_list)))
+            return []
+        return run
+
+    for name in ("verify_chi_structure", "verify_route_agreement",
+                 "verify_principal_chain", "verify_sequence_theorems",
+                 "verify_hg_bounds", "verify_nu", "negative_control"):
+        monkeypatch.setattr(experiments, name, suite(name))
+    experiments.verify_all(quick=quick)
+    library = list(seen)
+    seen.clear()
+    assert run_cli("verify", *(["--quick"] if quick else []))[0] == 0
+    assert seen == library
+    by_suite = dict(library)
+    expected = (10.0,) if quick else (10.0, 100.0, 1000.0)
+    assert by_suite["verify_chi_structure"] == expected
+    assert by_suite["verify_principal_chain"] == expected
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
@@ -369,7 +398,8 @@ def test_unwritable_output_is_config_error(tmp_path):
                                   {"large": "false"}, [10.0],
                                   {"truncation_dim": 2.9},
                                   {"truncation_dim": True},
-                                  {"parallel": 1.5}, {"paralel": 2}])
+                                  {"parallel": 1.5}, {"paralel": 2},
+                                  {"out": None}, {"out": 5}])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, data):
     monkeypatch.setattr(cli, "experiment1",
                         lambda cfg: pytest.fail("bad config value accepted"))
@@ -378,6 +408,20 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, data):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--config", str(cfg), "table1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("out", [None, 5, ["x.csv"]])
+def test_config_out_must_be_a_path_string(tmp_path, monkeypatch, capsys, out):
+    # str(None) is "None": a null out once wrote the table to a file so named
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": out}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "report", "--c", "10", "--n", "2"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "bad config value for 'out'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 @pytest.mark.parametrize("c_list", ["55", [True], [], 10, ["10"], {"c": 10}])

@@ -256,6 +256,55 @@ def test_profile_forward_rows_in_rescaled_blocks(monkeypatch):
     assert np.max(logs) > 3 * 500 * math.log(2.0)
 
 
+def _dedicated_forward_profile(d, e, rows):
+    """The profile's forward rows as solved before scaled_recurrence served
+    the sequence trace too: one dtbtrs call per block, from v_0 = 1."""
+    ab = np.zeros((3, rows), order="F")
+    ab[0] = e[:rows]
+    ab[1, :-1] = d[1:rows]
+    ab[2, :-2] = e[1:rows - 1]
+    e_prev = np.concatenate(([0.0], e[:rows - 1]))
+    step = np.log((np.abs(d[:rows]) + e_prev) / e[:rows])
+    growth = np.cumsum(np.fmin(np.fmax(step, 0.0), eigenvalues._BLOCK_GROWTH))
+    vals = np.empty(rows + 1)
+    exps = np.zeros(rows + 1, dtype=int)
+    vals[0] = 1.0
+    prev, cur, k, a = 0.0, 1.0, 0, 0
+    while a < rows:
+        base = growth[a - 1] if a else 0.0
+        b = max(a + 1, int(np.searchsorted(growth, base + eigenvalues._BLOCK_GROWTH,
+                                           side="right")))
+        s = math.frexp(max(abs(prev), abs(cur)))[1]
+        prev, cur, k = math.ldexp(prev, -s), math.ldexp(cur, -s), k + s
+        rhs = np.zeros((b - a, 1))
+        rhs[0, 0] = -(d[a] * cur + (e[a - 1] * prev if a else 0.0))
+        if b - a > 1:
+            rhs[1, 0] = -e[a] * cur
+        x, info = eigenvalues.dtbtrs(ab[:, a:b], rhs, uplo="L")
+        assert info == 0
+        vals[a + 1:b + 1] = x[:, 0]
+        exps[a + 1:b + 1] = k
+        prev, cur, a = vals[b - 1] if b - a > 1 else cur, vals[b], b
+    return vals, exps
+
+
+@pytest.mark.parametrize("c,n", [(0.1, 0), (0.1, 1), (10.0, 6), (10.0, 7),
+                                 (10.0, 400), (10.0, 401), (100.0, 80),
+                                 (100.0, 81), (1.0e4, 6450), (1.0e4, 6451)])
+def test_forward_profile_bitwise_equal_dedicated_solve(c, n):
+    # the shared solver forms the same products and sums in the same order,
+    # over the profile's rows and over every row of the block (where the
+    # forward rows pass the peak and grow again, block after block)
+    _, (diag, offdiag, chi, dim) = _profile_args(c, n)
+    d = diag - chi
+    j_hi = min(dim - 2, int(math.sqrt(max(chi, 0.0)) / 2.0) + 3)
+    for rows in (j_hi + 1, dim - 1):
+        vals, exps = eigenvalues._forward_profile(d, offdiag, rows)
+        ref_vals, ref_exps = _dedicated_forward_profile(d, offdiag, rows)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert np.array_equal(exps, ref_exps)
+
+
 @pytest.mark.parametrize("c", [1e-153, 1e-100, 1e-20, 1e-4, 0.01])
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 12])
 def test_profile_fails_where_loop_fails_at_small_c(c, n):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from prolate import eigenvalues
 from prolate import (LogScaledReal, ProlateContext, exponent_term, g_n_value,
                      lambda_gamma_bound, lambda_log, product_lower_bound,
                      signed_log_sum, trace, zeta)
@@ -353,3 +354,22 @@ def test_trace_against_high_precision_oracle(c, n, K, names, ctx100, ctx1000):
         half = 0.5 * (b_one(k, c, chi) + b_two(k))
         sigma.append(half + math.sqrt(half * half - 1.0) if half >= 1.0 else math.nan)
     np.testing.assert_array_equal(tr.sigma[1:], sigma)
+
+
+def test_trace_runs_on_blocked_solve_with_one_row_blocks(monkeypatch):
+    # at chi / c^2 = 1e122 one gamma row may grow by about 2^405 and two
+    # rows pass the 2^500 that one block may grow, so the solve takes
+    # one-row blocks; the entry before a one-row block's result is still
+    # in the previous block's scale, and the pinned case of
+    # test_trace_against_high_precision_oracle checks the values after it
+    blocks = []
+    dtbtrs = eigenvalues.dtbtrs
+
+    def counted(ab, *args, **kwargs):
+        blocks.append(ab.shape[1])
+        return dtbtrs(ab, *args, **kwargs)
+
+    monkeypatch.setattr(eigenvalues, "dtbtrs", counted)
+    trace(1e-60, 10, PINNED_CHI[1e-60, 10])
+    assert len(blocks) >= 2
+    assert 1 in blocks[:-1]

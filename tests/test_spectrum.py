@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -525,3 +528,30 @@ def test_start_dim_does_not_depend_on_scan_size(c):
     ctx = ProlateContext(c)
     for n in sorted(ns):
         assert ctx._start_dim(n) == _old_start_dim(c, n), (c, n)
+
+
+_THREAD_PROBE = """
+import hashlib
+from prolate import ProlateContext
+m = ProlateContext(3.0e4).mode(19000)
+print(m.dim, hashlib.sha256(m.coeffs.tobytes()).hexdigest(), m.psi_at_zero.hex())
+"""
+
+
+def test_mode_does_not_depend_on_blas_thread_count():
+    # OpenBLAS splits a dot product of more than about 10 000 entries
+    # across its threads; with np.linalg.norm and vec @ weights, psi(0) of
+    # this 18 184-row mode read ...a22ec with one thread and ...a22ea with two
+    src = os.path.dirname(os.path.dirname(spectrum.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert 15000 <= int(outputs[0].split()[0]) <= 18500
+    assert outputs[0] == outputs[1]
