@@ -16,9 +16,9 @@ print(f"band limit c = {c}")
 print(f"2c/pi = {2 * c / np.pi:.3f}  (the count of near-unit eigenvalues)\n")
 
 print("the matrix blocks are tridiagonal; the even block starts:")
-band = build_matrix(c, parity=0, dim=4)
-print("  diag   :", np.array2string(band.diag, precision=3))
-print("  offdiag:", np.array2string(band.offdiag, precision=3), "\n")
+diag, offdiag = build_matrix(c, parity=0, dim=4)
+print("  diag   :", np.array2string(diag, precision=3))
+print("  offdiag:", np.array2string(offdiag, precision=3), "\n")
 
 print(" n   chi_n        chi_n vs c^2")
 for n in range(0, 26, 5):

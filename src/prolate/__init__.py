@@ -21,16 +21,15 @@ from .legendre import QuadratureRule, gauss_legendre
 from .logscale import LogScaledReal, signed_log_sum
 from .sequences import (SequenceTrace, g_n_value, lambda_gamma_bound,
                         product_lower_bound, trace)
-from .spectrum import (MatrixBand, ProlateContext, ProlateMode,
-                       TruncationNotConverged, build_matrix, chi, mode,
-                       psi_value)
+from .spectrum import (ProlateContext, ProlateMode, TruncationNotConverged,
+                       build_matrix, chi, mode, psi_value)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "EigenvalueRecord", "HypothesisViolated", "LogScaledReal",
-    "MatchFailure", "MatrixBand", "OracleUnreliable", "ProlateContext",
-    "ProlateMode", "QuadratureRule", "ResolutionLoss", "SequenceTrace",
+    "MatchFailure", "OracleUnreliable", "ProlateContext", "ProlateMode",
+    "QuadratureRule", "ResolutionLoss", "SequenceTrace",
     "TruncationNotConverged", "aux_f", "aux_G", "aux_H", "bound_report",
     "build_matrix", "chi", "chi_lower", "chi_upper", "complete_E",
     "complete_F", "complete_F_minus_E", "count_above", "delta_of_n",

@@ -265,10 +265,7 @@ def main(argv=None) -> int:
             cfg = _config_from_args(args, (100.0,))
             rows = []
             for ctx in cfg.contexts():
-                rows.extend(decay_figure_rows(ctx))
-            if args.n_range is not None:
-                lo, hi = args.n_range
-                rows = [r for r in rows if lo <= r["n"] <= hi]
+                rows.extend(decay_figure_rows(ctx, args.n_range))
             _emit(rows, FIGURE_HEADER, args)
         elif args.command == "experiment3":
             cfg = _config_from_args(args, (1.0e4,))

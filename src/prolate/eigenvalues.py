@@ -103,6 +103,10 @@ def lambda_quadrature(m: ProlateMode, rule=None) -> LogScaledReal:
     if abs(p_star) < 0.1:
         raise OracleUnreliable("eigenfunction below 0.1 at every grid point")
     t = rule.nodes
+    # a BLAS dot, whose digits depend on the thread count once OpenBLAS
+    # splits it (past about 10 000 nodes); the rules of every command and
+    # benchmark workload stay below 1 700 nodes, and a pairwise sum here
+    # would move the digits the benchmark's rows digest pins
     if m.parity == 0:
         integral = float(rule.weights @ (pt * np.cos(m.c * x_star * t)))
     else:
@@ -228,9 +232,8 @@ def lambda_log(ctx: ProlateContext, n: int) -> LogScaledReal:
     m = ctx.mode(n)
     dim = m.dim
     parity = m.parity
-    band = ctx.band(parity, dim)
-    signs, logs, _ = _two_sided_profile(band.diag, band.offdiag, m.chi, dim)
-    w = ctx.weights_at_zero(parity, dim)
+    diag, offdiag, w = ctx.table(parity, dim)
+    signs, logs, _ = _two_sided_profile(diag, offdiag, m.chi, dim)
     total = signed_log_sum(signs * np.sign(w), logs + np.log(np.abs(w)))
     if total.is_zero():
         raise ArithmeticError("series at the origin summed to zero")

@@ -168,22 +168,26 @@ def experiment2(cfg: RunConfig):
     return [one(ctx, e) for e in cfg.eps_logs for ctx in contexts]
 
 
-def decay_figure_rows(ctx: ProlateContext):
+def decay_figure_rows(ctx: ProlateContext, n_range=None):
     """(c, n, log|lambda|, log zeta) over even n in the plunge window.
 
     Rows run in increasing n, from the first even n past 2c/pi to
-    2c/pi + 20 log c.
+    2c/pi + 20 log c; n_range = (start, stop) keeps only the n with
+    start <= n <= stop, and only those are solved.
     """
     c = ctx.c
     lo = _first_even_above(2.0 * c / math.pi)
     hi = 2.0 * c / math.pi + 20.0 * math.log(c)
+    ns = range(lo, int(hi) + 1, 2)
+    if n_range is not None:
+        ns = [n for n in ns if n_range[0] <= n <= n_range[1]]
 
     return [{
         "c": c,
         "n": n,
         "log_abs_lambda": lambda_log(ctx, n).log_abs,
         "log_zeta": zeta(ctx.mode(n)).log_abs,
-    } for n in range(lo, int(hi) + 1, 2)]
+    } for n in ns]
 
 
 # -- experiment 3 ------------------------------------------------------------
@@ -299,10 +303,10 @@ def verify_route_agreement(samples=None, seed=20250808):
     for c, n in samples:
         top[c] = max(top.get(c, n), n)
     rules = {c: gauss_legendre(math.ceil(c) + n + 30) for c, n in top.items()}
+    ctxs = {c: ProlateContext(c) for c in top}
     checks = []
-    ctxs = {}
     for c, n in samples:
-        ctx = ctxs.setdefault(c, ProlateContext(c))
+        ctx = ctxs[c]
         m = ctx.mode(n)
         try:
             direct = lambda_direct(m) if n % 2 == 0 else lambda_odd(m)
@@ -371,9 +375,10 @@ def verify_sequence_theorems(samples=None):
     """Monotonicity/domination content of the ratio-sequence machinery."""
     if samples is None:
         samples = sequence_sample_grid()
+    ctxs = {c: ProlateContext(c) for c in dict.fromkeys(c for c, _ in samples)}
     checks = []
     for c, n in samples:
-        ctx = ProlateContext(c)
+        ctx = ctxs[c]
         m = ctx.mode(n)
         tr = trace(c, n, m.chi)
         q = tr.k0

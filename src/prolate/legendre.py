@@ -58,8 +58,12 @@ class QuadratureRule:
         return self.nodes.size
 
     def integrate(self, f) -> float:
-        """Integral over [-1, 1] of a vectorized callable."""
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
+        """Integral over [-1, 1] of a vectorized callable.
+
+        A pairwise sum, not a BLAS dot: OpenBLAS splits a long dot product
+        across its threads, so the digits would depend on the thread count.
+        """
+        return float(np.sum(self.weights * np.asarray(f(self.nodes), dtype=float)))
 
 
 def legendre_sweep(x: np.ndarray, top: int):

@@ -74,34 +74,13 @@ def _check_info(routine: str, info: int, rows: int, idx: int) -> None:
             f"block (eigenvalue index {idx})")
 
 
-@dataclass(frozen=True)
-class MatrixBand:
-    """Tridiagonal block of the operator matrix for one parity class.
+def build_matrix(c: float, parity: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal block over degrees congruent to parity mod 2.
 
-    Row j corresponds to Legendre degree parity + 2*j; diag holds the
-    degree-coupling entries A[m, m] and offdiag the A[m, m+2] couplings,
-    which are positive for c > 0.
+    Row j corresponds to Legendre degree parity + 2*j.  Returns read-only
+    (diag, offdiag): diag holds the degree-coupling entries A[m, m] and
+    offdiag the A[m, m+2] couplings, which are positive for c > 0.
     """
-
-    c: float
-    parity: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        self.diag.setflags(write=False)
-        self.offdiag.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-    def degrees(self) -> np.ndarray:
-        return self.parity + 2 * np.arange(self.dim)
-
-
-def build_matrix(c: float, parity: int, dim: int) -> MatrixBand:
-    """Tridiagonal block over degrees congruent to parity mod 2."""
     if c < 0:
         raise ValueError("band limit must be non-negative")
     if parity not in (0, 1):
@@ -113,13 +92,15 @@ def build_matrix(c: float, parity: int, dim: int) -> MatrixBand:
     diag = m * (m + 1.0) + (2.0 * m * (m + 1.0) - 1.0) / ((2.0 * m + 3.0) * (2.0 * m - 1.0)) * c2
     mo = m[:-1]
     offdiag = (mo + 2.0) * (mo + 1.0) / ((2.0 * mo + 3.0) * np.sqrt((2.0 * mo + 1.0) * (2.0 * mo + 5.0))) * c2
-    return MatrixBand(float(c), parity, diag, offdiag)
+    diag.setflags(write=False)
+    offdiag.setflags(write=False)
+    return diag, offdiag
 
 
-def _noise(band: MatrixBand) -> float:
+def _noise(diag: np.ndarray, offdiag: np.ndarray) -> float:
     """Bisection resolves eigenvalues to a few ulps of the matrix norm."""
-    return 32.0 * _EPS * (float(np.max(np.abs(band.diag)))
-                          + 2.0 * float(np.max(band.offdiag, initial=0.0)))
+    return 32.0 * _EPS * (float(np.max(np.abs(diag)))
+                          + 2.0 * float(np.max(offdiag, initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -166,21 +147,20 @@ class ProlateContext:
     TruncationNotConverged.
 
     Each index n has one cached record, its ProlateMode, built by one
-    converged solve and kept for the life of the context; chi(n) and
-    converged_dim(n) read chi and the dimension from that record, so any
-    mix of calls for one n solves once.
+    converged solve and kept for the life of the context; chi(n) reads chi
+    from that record, so any mix of calls for one n solves once.
 
     The context is also the only place that builds a parity block or a
-    weight table at the origin: it keeps one of each per parity, read-only,
-    and hands out prefixes (band, weights_at_zero).  The dimension scan,
-    each solve, psi(0) or psi'(0) of a record and lambda_log all read
-    them.  Every band entry depends on its own row only and the weight
-    table's ratio chain runs from the first row on, so a prefix is
-    bitwise equal to a fresh build of that size.  A table too short for
-    a request is rebuilt at twice its length or the request, whichever is
-    larger (the band never past _MAX_ROWS + 1 rows), so a scan over rising
-    indices builds each a few times at most.  A context is not meant to be
-    shared across threads.
+    weight table at the origin: it keeps one read-only table per parity,
+    the block and the weights built together at one size, and hands out
+    prefixes (table).  The dimension scan, each solve, psi(0) or psi'(0)
+    of a record and lambda_log all read it.  Every band entry depends on
+    its own row only and the weight table's ratio chain runs from the
+    first row on, so a prefix is bitwise equal to a fresh build of that
+    size.  A table too short for a request is rebuilt at twice its length
+    or the request, whichever is larger (never past _MAX_ROWS + 1 rows), so
+    a scan over rising indices builds each a few times at most.  A context
+    is not meant to be shared across threads.
     """
 
     def __init__(self, c: float, truncation_dim: int | None = None):
@@ -197,31 +177,21 @@ class ProlateContext:
         self.c = float(c)
         self.truncation_dim = truncation_dim
         self._modes: dict[int, ProlateMode] = {}
-        self._bands: list[MatrixBand | None] = [None, None]
-        self._weights: list[np.ndarray | None] = [None, None]
+        self._tables: list[tuple | None] = [None, None]
 
-    # -- cached tables -------------------------------------------------------
-
-    def band(self, parity: int, rows: int) -> MatrixBand:
-        """The first rows rows of the parity block, a view of the cached band."""
-        band = self._bands[parity]
-        have = band.dim if band is not None else 0
+    def table(self, parity: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (diag, offdiag, weights) of the first rows rows of the
+        parity block: rows - 1 couplings, and the normalized Legendre values
+        (even) or derivatives (odd) at the origin of the rows degrees."""
+        table = self._tables[parity]
+        have = table[0].size if table is not None else 0
         if have < rows:
-            band = self._bands[parity] = build_matrix(
-                self.c, parity, min(max(rows, 2 * have), _MAX_ROWS + 1))
-        return MatrixBand(self.c, parity, band.diag[:rows], band.offdiag[:rows - 1])
-
-    def weights_at_zero(self, parity: int, rows: int) -> np.ndarray:
-        """Normalized Legendre values (even) or derivatives (odd) at the
-        origin for the first rows degrees of the parity, read-only."""
-        table = self._weights[parity]
-        have = table.size if table is not None else 0
-        if have < rows:
-            build = even_values_at_zero if parity == 0 else odd_derivs_at_zero
-            table = build(min(max(rows, 2 * have), _MAX_ROWS))
-            table.setflags(write=False)
-            self._weights[parity] = table
-        return table[:rows]
+            size = min(max(rows, 2 * have), _MAX_ROWS + 1)
+            weights = (even_values_at_zero if parity == 0 else odd_derivs_at_zero)(size)
+            weights.setflags(write=False)
+            table = self._tables[parity] = (*build_matrix(self.c, parity, size), weights)
+        diag, offdiag, weights = table
+        return diag[:rows], offdiag[:rows - 1], weights[:rows]
 
     # -- solves ------------------------------------------------------------
 
@@ -255,10 +225,9 @@ class ProlateContext:
         target = math.log(TAIL_RTOL) - _ESTIMATE_MARGIN
         size = min(math.ceil(0.55 * math.sqrt(chi_hi)) + 64, _MAX_ROWS)
         while True:
-            band = self.band(parity, size)
-            e = band.offdiag
+            diag, e, _ = self.table(parity, size)
             with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.log(e[:-1] / (band.diag[1:-1] - chi_hi - e[1:]))
+                steps = np.log(e[:-1] / (diag[1:-1] - chi_hi - e[1:]))
             # NaN (non-positive gap) and non-negative steps: not yet decaying
             growing = np.flatnonzero(~(steps < 0.0))
             j0 = int(growing[-1]) + 1 if growing.size else 0
@@ -269,44 +238,32 @@ class ProlateContext:
                 return self._capped(j0 + int(dead[0]) + 5, n)
             size = self._capped(2 * size, n)
 
-    def _eig(self, n: int, dim: int):
-        """chi_n and eigenvector of the dim-row block, with the residual of
-        the zero-padded vector in the infinite operator and the noise level."""
-        # one row more than the block: its coupling to the last row of the
-        # block is the residual's only entry
-        band = self.band(n % 2, dim + 1)
-        chi_val, vec = eigh_tridiagonal(band.diag[:-1], band.offdiag[:-1], n // 2)
-        return chi_val, vec, abs(band.offdiag[-1] * vec[-1]), _noise(band)
-
-    @staticmethod
-    def _tail_ok(vec: np.ndarray) -> bool:
-        peak = np.max(np.abs(vec))
-        return bool(np.max(np.abs(vec[-4:])) < TAIL_RTOL * peak)
-
     def _converged_solve(self, n: int):
-        if self.truncation_dim is not None:
+        """chi_n and eigenvector of the first block the truncation policy
+        accepts (see the class docstring)."""
+        pinned = self.truncation_dim is not None
+        if pinned:
             dim = self._capped(max(self.truncation_dim, n // 2 + 2), n)
-            chi_val, vec, _, _ = self._eig(n, dim)
-            if not self._tail_ok(vec):
+        else:
+            dim = self._start_dim(n)
+        while True:
+            # one row more than the block: its coupling to the last row of
+            # the block is the residual's only entry
+            diag, offdiag, _ = self.table(n % 2, dim + 1)
+            chi_val, vec = eigh_tridiagonal(diag[:-1], offdiag[:-1], n // 2)
+            tail_ok = np.max(np.abs(vec[-4:])) < TAIL_RTOL * np.max(np.abs(vec))
+            if pinned and not tail_ok:
                 raise TruncationNotConverged(
                     f"fixed dimension {dim} leaves a live coefficient tail "
                     f"for c={self.c}, n={n}")
-            return chi_val, vec
-        dim = self._start_dim(n)
-        while True:
-            chi_val, vec, resid, noise = self._eig(n, dim)
-            if (self._tail_ok(vec)
-                    and resid <= CHI_RTOL * abs(chi_val) + noise):
+            if pinned or (tail_ok and abs(offdiag[-1] * vec[-1])
+                          <= CHI_RTOL * abs(chi_val) + _noise(diag, offdiag)):
                 return chi_val, vec
             dim = self._capped(2 * dim, n)
 
     def chi(self, n: int) -> float:
         """Operator eigenvalue chi_n, read from the mode record."""
         return self.mode(n).chi
-
-    def converged_dim(self, n: int) -> int:
-        """Matrix dimension at which the mode converged, from its record."""
-        return self.mode(n).dim
 
     def mode(self, n: int) -> ProlateMode:
         """Full eigenvector record for index n, cached.
@@ -327,7 +284,7 @@ class ProlateContext:
         if vec[np.argmax(np.abs(vec))] < 0:
             vec = -vec
         parity = n % 2
-        at_zero = float(np.sum(vec * self.weights_at_zero(parity, vec.size)))
+        at_zero = float(np.sum(vec * self.table(parity, vec.size)[2]))
         if parity == 0:
             m = ProlateMode(n, self.c, chi_val, parity, vec, at_zero, None)
         else:

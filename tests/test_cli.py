@@ -74,6 +74,20 @@ def test_figures_window_restriction():
     assert ns == [8, 10, 12, 14, 16]
 
 
+def test_figures_window_solves_only_the_printed_rows(monkeypatch):
+    # the range narrows the window before any mode is solved, at each of
+    # two band limits, one of whose windows misses the range entirely
+    solves = []
+    real = spectrum.eigh_tridiagonal
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal",
+                        lambda *a, **k: solves.append(1) or real(*a, **k))
+    rc, out, _ = run_cli("figures", "--c", "10,100", "--n-range", "53:70")
+    assert rc == 0
+    ns = [int(l.split(",")[1]) for l in out.splitlines()[1:]]
+    assert ns == [64, 66, 68, 70]
+    assert len(solves) == len(ns)
+
+
 def test_experiment3_small():
     rc, out, _ = run_cli("experiment3", "--c", "40")
     lines = out.splitlines()

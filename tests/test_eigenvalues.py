@@ -130,10 +130,9 @@ def test_log_route_deep_tail_pinned():
 
 def test_two_sided_profile_arrays(ctx100):
     n = 90
-    dim = ctx100.converged_dim(n)
-    band = build_matrix(100.0, 0, dim)
-    signs, logs, mismatch = _two_sided_profile(band.diag, band.offdiag,
-                                               ctx100.chi(n), dim)
+    dim = ctx100.mode(n).dim
+    diag, offdiag = build_matrix(100.0, 0, dim)
+    signs, logs, mismatch = _two_sided_profile(diag, offdiag, ctx100.chi(n), dim)
     assert signs.shape == logs.shape == (dim,)
     assert signs[0] == 1.0 and logs[0] == 0.0     # ratios to the leading entry
     assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
@@ -143,10 +142,10 @@ def test_two_sided_profile_arrays(ctx100):
 
 def test_two_sided_profile_rejects_non_eigenvalue(ctx10):
     # between two eigenvalues no minimal/dominant match can exist
-    band = build_matrix(10.0, 0, 120)
+    diag, offdiag = build_matrix(10.0, 0, 120)
     fake = 0.5 * (ctx10.chi(0) + ctx10.chi(2))
     with pytest.raises(MatchFailure):
-        _two_sided_profile(band.diag, band.offdiag, fake, 120)
+        _two_sided_profile(diag, offdiag, fake, 120)
 
 
 _RESCALE = 1e250
@@ -218,9 +217,8 @@ def _reference_profile(diag, offdiag, chi, dim):
 
 def _profile_args(c, n):
     ctx = ProlateContext(c)
-    dim = ctx.converged_dim(n)
-    band = build_matrix(c, n % 2, dim)
-    return ctx, (band.diag, band.offdiag, ctx.chi(n), dim)
+    dim = ctx.mode(n).dim
+    return ctx, (*build_matrix(c, n % 2, dim), ctx.chi(n), dim)
 
 
 @pytest.mark.parametrize("c,n", [(10.0, 250), (10.0, 400), (1000.0, 700)]

@@ -13,7 +13,8 @@ from prolate.experiments import (EXP3_HEADER, FIGURE_HEADER, TABLE1_HEADER,
                                  negative_control, rows_to_csv, rows_to_json,
                                  sequence_sample_grid, table1_indices,
                                  verify_chi_structure, verify_hg_bounds,
-                                 verify_nu)
+                                 verify_nu, verify_route_agreement,
+                                 verify_sequence_theorems)
 
 def test_table1_indices_match_published_rows():
     assert table1_indices(10.0) == (0, 3, 6)
@@ -165,6 +166,27 @@ def test_verify_row_shape_and_counts():
     rows = verify_nu(c_list=(100.0,))
     assert len(rows) == 3
     assert all(r["passed"] for r in rows)
+
+
+def test_verify_suites_build_one_context_per_band_limit(monkeypatch):
+    built = []
+
+    class Counted(ProlateContext):
+        def __init__(self, c, *args, **kwargs):
+            built.append(c)
+            super().__init__(c, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProlateContext", Counted)
+    rows = verify_route_agreement(
+        samples=[(10.0, 2), (10.0, 5), (30.0, 9), (30.0, 15), (10.0, 7)])
+    assert sorted(built) == [10.0, 30.0]
+    assert rows and all(r["passed"] for r in rows)
+    built.clear()
+    samples = [s for s in sequence_sample_grid(10) if s[0] <= 100.0]
+    assert len(samples) == 6
+    rows = verify_sequence_theorems(samples)
+    assert sorted(built) == [15.0, 40.0, 100.0]
+    assert len(rows) == 7 * len(samples) and all(r["passed"] for r in rows)
 
 
 def test_negative_control_detects_perturbation():

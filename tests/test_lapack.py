@@ -22,11 +22,11 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_matches_scipy_eigh_tridiagonal_bitwise(c, parity):
     for dim in (2, 9, 64, 300):
-        band = build_matrix(c, parity, dim)
+        diag, offdiag = build_matrix(c, parity, dim)
         for idx in sorted({0, 1, dim // 2, dim - 1}):
-            chi, vec = eigh_tridiagonal(band.diag, band.offdiag, idx)
+            chi, vec = eigh_tridiagonal(diag, offdiag, idx)
             vals, vecs = scipy.linalg.eigh_tridiagonal(
-                band.diag, band.offdiag, select="i", select_range=(idx, idx))
+                diag, offdiag, select="i", select_range=(idx, idx))
             assert _same_bits(chi, vals[0]), (c, parity, dim, idx)
             assert _same_bits(vec, vecs[:, 0]), (c, parity, dim, idx)
 
@@ -35,8 +35,8 @@ def test_matches_scipy_eigh_tridiagonal_bitwise(c, parity):
 def test_matches_scipy_on_converged_blocks(c, n):
     # the blocks the solver itself takes: its dimension plus the residual row
     ctx = ProlateContext(c)
-    band = ctx.band(n % 2, ctx._start_dim(n) + 1)
-    d, e = band.diag[:-1], band.offdiag[:-1]
+    diag, offdiag, _ = ctx.table(n % 2, ctx._start_dim(n) + 1)
+    d, e = diag[:-1], offdiag[:-1]
     chi, vec = eigh_tridiagonal(d, e, n // 2)
     vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, select="i",
                                                select_range=(n // 2, n // 2))
@@ -47,8 +47,7 @@ def test_matches_scipy_on_converged_blocks(c, n):
 @pytest.mark.parametrize("which", ["diag", "offdiag"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_are_refused(which, bad):
-    band = build_matrix(10.0, 0, 8)
-    d, e = band.diag.copy(), band.offdiag.copy()
+    d, e = (a.copy() for a in build_matrix(10.0, 0, 8))
     (d if which == "diag" else e)[3] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         eigh_tridiagonal(d, e, 0)

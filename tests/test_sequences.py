@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from prolate import eigenvalues
 from prolate import (LogScaledReal, ProlateContext, exponent_term, g_n_value,
-                     lambda_gamma_bound, lambda_log, product_lower_bound,
+                     k0, lambda_gamma_bound, lambda_log, product_lower_bound,
                      signed_log_sum, trace, zeta)
 from prolate.sequences import (a_new, a_tilde, b_chi, b_one, b_two, big_a,
                                big_b, f_seq, rho_seq)
@@ -15,8 +15,9 @@ from prolate.sequences import (a_new, a_tilde, b_chi, b_one, b_two, big_a,
 
 @pytest.fixture(scope="module")
 def tr100(ctx100):
+    # six entries past the default, for the recurrence residuals
     m = ctx100.mode(80)
-    return trace(100.0, 80, m.chi)
+    return trace(100.0, 80, m.chi, k0(100.0, m.chi) + 8)
 
 
 def test_trace_heads(tr100):
@@ -329,7 +330,10 @@ PINNED_CHI = {(1e-60, 10): 110.0}
     # and by 0.18 in the earlier log-scaled trace)
     (100.0, 80, 400, ("beta_new", "gamma", "r")),
     (100.0, 120, None, ALL), (1000.0, 660, None, ALL),
-    (1000.0, 700, None, ALL), (1e-60, 10, None, ALL)])
+    (1000.0, 700, None, ALL), (1e-60, 10, None, ALL),
+    # at c = 10 alpha decays fast past the turning index: the default
+    # K = k0 + 2 stops before its forward recurrence loses digits
+    (10.0, 40, None, ALL), (10.0, 30, None, ALL)])
 def test_trace_against_high_precision_oracle(c, n, K, names, ctx100, ctx1000):
     if (c, n) in PINNED_CHI:
         chi = PINNED_CHI[c, n]
@@ -337,6 +341,7 @@ def test_trace_against_high_precision_oracle(c, n, K, names, ctx100, ctx1000):
         ctx = {100.0: ctx100, 1000.0: ctx1000}.get(c) or ProlateContext(c)
         chi = ctx.chi(n)
     tr = trace(c, n, chi, K)
+    assert tr.K == (K or tr.k0 + 2)
     oracle = _oracle_logs(c, chi, tr.K)
     for name in names:
         if name == "r":
@@ -370,6 +375,7 @@ def test_trace_runs_on_blocked_solve_with_one_row_blocks(monkeypatch):
         return dtbtrs(ab, *args, **kwargs)
 
     monkeypatch.setattr(eigenvalues, "dtbtrs", counted)
-    trace(1e-60, 10, PINNED_CHI[1e-60, 10])
+    chi = PINNED_CHI[1e-60, 10]
+    trace(1e-60, 10, chi, k0(1e-60, chi) + 8)
     assert len(blocks) >= 2
     assert 1 in blocks[:-1]

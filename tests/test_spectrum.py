@@ -22,33 +22,37 @@ def entry_coupling(k, c):
 
 def test_matrix_entries_even_block():
     c = 5.0
-    band = build_matrix(c, 0, 6)
-    assert band.diag[0] == pytest.approx(c * c / 3.0, rel=1e-15)
-    for j, deg in enumerate(band.degrees()):
-        assert band.diag[j] == pytest.approx(entry_diag(deg, c), rel=1e-14)
-    for j, deg in enumerate(band.degrees()[:-1]):
-        assert band.offdiag[j] == pytest.approx(entry_coupling(deg, c), rel=1e-14)
-        assert band.offdiag[j] > 0
+    diag, offdiag = build_matrix(c, 0, 6)
+    assert diag.size == 6 and offdiag.size == 5
+    assert diag[0] == pytest.approx(c * c / 3.0, rel=1e-15)
+    for j, deg in enumerate(range(0, 12, 2)):
+        assert diag[j] == pytest.approx(entry_diag(deg, c), rel=1e-14)
+    for j, deg in enumerate(range(0, 10, 2)):
+        assert offdiag[j] == pytest.approx(entry_coupling(deg, c), rel=1e-14)
+        assert offdiag[j] > 0
 
 
 def test_matrix_entries_odd_block():
     c = 3.0
-    band = build_matrix(c, 1, 5)
-    assert list(band.degrees()) == [1, 3, 5, 7, 9]
-    for j, deg in enumerate(band.degrees()):
-        assert band.diag[j] == pytest.approx(entry_diag(deg, c), rel=1e-14)
+    diag, offdiag = build_matrix(c, 1, 5)
+    assert diag.size == 5 and offdiag.size == 4
+    for j, deg in enumerate([1, 3, 5, 7, 9]):
+        assert diag[j] == pytest.approx(entry_diag(deg, c), rel=1e-14)
+    for j, deg in enumerate([1, 3, 5, 7]):
+        assert offdiag[j] == pytest.approx(entry_coupling(deg, c), rel=1e-14)
 
 
 def test_zero_bandlimit_decouples():
-    band = build_matrix(0.0, 0, 5)
-    assert band.diag == pytest.approx([d * (d + 1) for d in band.degrees()])
-    assert np.all(band.offdiag == 0.0)
+    diag, offdiag = build_matrix(0.0, 0, 5)
+    assert diag == pytest.approx([d * (d + 1) for d in range(0, 10, 2)])
+    assert np.all(offdiag == 0.0)
 
 
 def test_dense_assembly_is_symmetric():
-    band = build_matrix(7.0, 1, 8)
-    dense = np.diag(band.diag) + np.diag(band.offdiag, 1) + np.diag(band.offdiag, -1)
+    diag, offdiag = build_matrix(7.0, 1, 8)
+    dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     assert np.array_equal(dense, dense.T)
+    assert not diag.flags.writeable and not offdiag.flags.writeable
 
 
 def test_build_matrix_validation():
@@ -73,8 +77,8 @@ def test_chi_below_c_squared_inside_band(ctx100):
 
 
 def test_chi_against_dense_oracle(ctx10):
-    band = build_matrix(10.0, 0, 200)
-    dense = np.diag(band.diag) + np.diag(band.offdiag, 1) + np.diag(band.offdiag, -1)
+    diag, offdiag = build_matrix(10.0, 0, 200)
+    dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     oracle = np.linalg.eigvalsh(dense)
     assert chi(ctx10, 6) == pytest.approx(oracle[3], rel=1e-12)
     assert chi(ctx10, 0) == pytest.approx(oracle[0], rel=1e-12)
@@ -87,8 +91,8 @@ def test_chi_strictly_increasing(ctx10):
     # the merged spectrum of both dense blocks
     blocks = []
     for parity in (0, 1):
-        band = build_matrix(10.0, parity, 60)
-        dense = np.diag(band.diag) + np.diag(band.offdiag, 1) + np.diag(band.offdiag, -1)
+        diag, offdiag = build_matrix(10.0, parity, 60)
+        dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
         blocks.append(np.linalg.eigvalsh(dense))
     oracle = np.sort(np.concatenate(blocks))[:26]
     assert values == pytest.approx(oracle, rel=1e-12)
@@ -106,18 +110,18 @@ def test_mode_invariants(ctx10, ctx100):
 def test_mode_recurrence_residual(ctx10, ctx100):
     for ctx, n in ((ctx10, 4), (ctx10, 9), (ctx100, 64)):
         m = mode(ctx, n)
-        band = build_matrix(ctx.c, m.parity, m.dim)
+        diag, offdiag = build_matrix(ctx.c, m.parity, m.dim)
         v = m.coeffs
         resid = np.empty(m.dim)
-        resid[0] = (band.diag[0] - m.chi) * v[0] + band.offdiag[0] * v[1]
-        resid[1:-1] = (band.offdiag[:-1] * v[:-2]
-                       + (band.diag[1:-1] - m.chi) * v[1:-1]
-                       + band.offdiag[1:] * v[2:])
-        resid[-1] = band.offdiag[-1] * v[-2] + (band.diag[-1] - m.chi) * v[-1]
+        resid[0] = (diag[0] - m.chi) * v[0] + offdiag[0] * v[1]
+        resid[1:-1] = (offdiag[:-1] * v[:-2]
+                       + (diag[1:-1] - m.chi) * v[1:-1]
+                       + offdiag[1:] * v[2:])
+        resid[-1] = offdiag[-1] * v[-2] + (diag[-1] - m.chi) * v[-1]
         scale = np.max(np.abs(v))
         assert np.max(np.abs(resid)) < 1e-8 * scale
         # matrix-norm form of the same statement
-        norm_a = np.max(np.abs(band.diag)) + 2 * np.max(np.abs(band.offdiag))
+        norm_a = np.max(np.abs(diag)) + 2 * np.max(np.abs(offdiag))
         assert np.linalg.norm(resid) <= 1e-8 * norm_a
 
 
@@ -323,7 +327,6 @@ def test_fresh_mode_costs_one_solve(monkeypatch):
         ctx = ProlateContext(c)
         calls.clear()
         ctx.chi(n + 1)
-        ctx.converged_dim(n + 1)
         ctx.mode(n + 1)
         lambda_log(ctx, n + 1)
         assert len(calls) == 1, (c, n + 1, calls)
@@ -335,7 +338,6 @@ def test_chi_and_dimension_read_the_mode_record(pinned):
     for n in (0, 31, 64, 101):
         m = ctx.mode(n)
         assert ctx.chi(n) == m.chi
-        assert ctx.converged_dim(n) == m.dim
         assert ctx.mode(n) is m
 
 
@@ -358,7 +360,7 @@ def test_poor_estimate_converges_by_doubling(monkeypatch):
     for (c, n), (chi_ref, log_ref) in zip(cases, good):
         ctx = ProlateContext(c)
         assert ctx.chi(n) == pytest.approx(chi_ref, rel=1e-12)
-        assert ctx.converged_dim(n) > n // 2 + 2
+        assert ctx.mode(n).dim > n // 2 + 2
         assert lambda_log(ctx, n).log_abs == pytest.approx(log_ref, rel=1e-12)
 
 
@@ -377,7 +379,7 @@ def test_log_route_at_converged_dim_matches_wider_block():
     # independent of the estimate: a block four times the converged one
     c, n = 1.0e4, 6596
     ctx = ProlateContext(c)
-    dim = ctx.converged_dim(n)
+    dim = ctx.mode(n).dim
     wide = ProlateContext(c, truncation_dim=4 * dim)
     assert lambda_log(ctx, n).log_abs == pytest.approx(lambda_log(wide, n).log_abs,
                                                       rel=1e-12)
@@ -401,7 +403,7 @@ def test_row_cap_raises_truncation_error(monkeypatch):
 
 def test_chi_stability_under_explicit_doubling(ctx100):
     n = 70
-    d = ctx100.converged_dim(n)
+    d = ctx100.mode(n).dim
     a = ProlateContext(100.0, truncation_dim=d).chi(n)
     b = ProlateContext(100.0, truncation_dim=2 * d).chi(n)
     assert abs(a - b) <= 1e-10 * abs(b)
@@ -448,21 +450,20 @@ def test_records_do_not_depend_on_solve_order(c, evens, odds):
 @pytest.mark.parametrize("c", [0.1, 10.0, 1.0e4])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_band_prefix_is_bitwise_a_fresh_build(c, parity):
-    big = build_matrix(c, parity, 5000)
+    big_diag, big_offdiag = build_matrix(c, parity, 5000)
     for k in (2, 3, 17, 1000, 4999):
-        small = build_matrix(c, parity, k)
-        assert small.diag.tobytes() == big.diag[:k].tobytes(), k
-        assert small.offdiag.tobytes() == big.offdiag[:k - 1].tobytes(), k
+        diag, offdiag = build_matrix(c, parity, k)
+        assert diag.tobytes() == big_diag[:k].tobytes(), k
+        assert offdiag.tobytes() == big_offdiag[:k - 1].tobytes(), k
     # the context's views, requested out of order, read the same bits
     ctx = ProlateContext(c)
     for k in (40, 3, 700, 2, 5000, 1301):
-        band = ctx.band(parity, k)
+        diag, offdiag, _ = ctx.table(parity, k)
         fresh = build_matrix(c, parity, k)
-        assert band.dim == k and band.parity == parity and band.c == fresh.c
-        assert band.diag.tobytes() == fresh.diag.tobytes(), k
-        assert band.offdiag.tobytes() == fresh.offdiag.tobytes(), k
-        assert not band.diag.flags.writeable and not band.offdiag.flags.writeable
-        assert ctx._bands[parity].dim <= spectrum._MAX_ROWS + 1
+        assert diag.tobytes() == fresh[0].tobytes(), k
+        assert offdiag.tobytes() == fresh[1].tobytes(), k
+        assert not diag.flags.writeable and not offdiag.flags.writeable
+        assert ctx._tables[parity][0].size <= spectrum._MAX_ROWS + 1
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -472,8 +473,8 @@ def test_weight_table_prefix_is_bitwise_a_fresh_build(parity):
     for k in (0, 1, 2, 7, 1000, 29999):
         assert table(k).tobytes() == big[:k].tobytes(), k
     ctx = ProlateContext(10.0)
-    for k in (40, 1, 700, 2, 30000, 1301):
-        w = ctx.weights_at_zero(parity, k)
+    for k in (40, 3, 700, 2, 30000, 1301):
+        w = ctx.table(parity, k)[2]
         assert w.tobytes() == table(k).tobytes(), k
         assert not w.flags.writeable
 
@@ -508,10 +509,9 @@ def _old_start_dim(c, n):
     target = math.log(spectrum.TAIL_RTOL) - spectrum._ESTIMATE_MARGIN
     size = n // 2 + math.ceil(c) + 64
     while True:
-        band = build_matrix(c, n % 2, size)
-        e = band.offdiag
+        diag, e = build_matrix(c, n % 2, size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.log(e[:-1] / (band.diag[1:-1] - chi_hi - e[1:]))
+            steps = np.log(e[:-1] / (diag[1:-1] - chi_hi - e[1:]))
         growing = np.flatnonzero(~(steps < 0.0))
         j0 = int(growing[-1]) + 1 if growing.size else 0
         dead = np.flatnonzero(np.cumsum(steps[j0:]) < target)
