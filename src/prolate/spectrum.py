@@ -181,17 +181,18 @@ class ProlateContext:
 
     def table(self, parity: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (diag, offdiag, weights) of the first rows rows of the
-        parity block: rows - 1 couplings, and the normalized Legendre values
-        (even) or derivatives (odd) at the origin of the rows degrees."""
+        parity block: rows - 1 couplings (none below two rows), and the
+        normalized Legendre values (even) or derivatives (odd) at the origin
+        of the rows degrees.  The cached block has at least two rows."""
         table = self._tables[parity]
         have = table[0].size if table is not None else 0
-        if have < rows:
-            size = min(max(rows, 2 * have), _MAX_ROWS + 1)
+        if have < max(rows, 2):
+            size = min(max(rows, 2 * have, 2), _MAX_ROWS + 1)
             weights = (even_values_at_zero if parity == 0 else odd_derivs_at_zero)(size)
             weights.setflags(write=False)
             table = self._tables[parity] = (*build_matrix(self.c, parity, size), weights)
         diag, offdiag, weights = table
-        return diag[:rows], offdiag[:rows - 1], weights[:rows]
+        return diag[:rows], offdiag[:max(rows - 1, 0)], weights[:rows]
 
     # -- solves ------------------------------------------------------------
 

@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-import prolate
 from prolate import QuadratureRule, gauss_legendre
 from prolate.legendre import (dsterf, even_values_at_zero, legendre_sweep,
                               odd_derivs_at_zero)
@@ -401,28 +397,3 @@ def test_gauss_rule_refuses_failed_eigenvalue_solve(monkeypatch):
     monkeypatch.setattr(legendre, "dsterf", lambda d, e: (d, 3))
     with pytest.raises(ArithmeticError, match="info = 3"):
         legendre.gauss_legendre(40)
-
-
-_INTEGRATE_PROBE = """
-from prolate import gauss_legendre
-print(gauss_legendre(20001).integrate(lambda x: x * x + 1).hex())
-"""
-
-
-def test_integrate_does_not_depend_on_blas_thread_count():
-    # a 20 001-term dot product is split across OpenBLAS threads: with
-    # weights @ f this integral read ...552p+1 with one thread and ...554p+1
-    # with two
-    src = os.path.dirname(os.path.dirname(prolate.__file__))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _INTEGRATE_PROBE], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert float.fromhex(outputs[0]) == pytest.approx(8.0 / 3.0, rel=1e-14)
-    assert outputs[0] == outputs[1]

@@ -473,10 +473,15 @@ def test_weight_table_prefix_is_bitwise_a_fresh_build(parity):
     for k in (0, 1, 2, 7, 1000, 29999):
         assert table(k).tobytes() == big[:k].tobytes(), k
     ctx = ProlateContext(10.0)
-    for k in (40, 3, 700, 2, 30000, 1301):
+    for k in (40, 1, 700, 2, 30000, 1301):
         w = ctx.table(parity, k)[2]
         assert w.tobytes() == table(k).tobytes(), k
         assert not w.flags.writeable
+    # a fresh context builds a block of at least two rows for a shorter request
+    for k in (0, 1):
+        diag, offdiag, w = ProlateContext(10.0).table(parity, k)
+        assert (diag.size, offdiag.size) == (k, 0)
+        assert w.tobytes() == table(k).tobytes(), k
 
 
 def test_ascending_scan_builds_few_tables(monkeypatch):
@@ -532,16 +537,19 @@ def test_start_dim_does_not_depend_on_scan_size(c):
 
 _THREAD_PROBE = """
 import hashlib
-from prolate import ProlateContext
+from prolate import ProlateContext, gauss_legendre
 m = ProlateContext(3.0e4).mode(19000)
-print(m.dim, hashlib.sha256(m.coeffs.tobytes()).hexdigest(), m.psi_at_zero.hex())
+print(m.dim, hashlib.sha256(m.coeffs.tobytes()).hexdigest(), m.psi_at_zero.hex(),
+      gauss_legendre(20001).integrate(lambda x: x * x + 1).hex())
 """
 
 
 def test_mode_does_not_depend_on_blas_thread_count():
     # OpenBLAS splits a dot product of more than about 10 000 entries
     # across its threads; with np.linalg.norm and vec @ weights, psi(0) of
-    # this 18 184-row mode read ...a22ec with one thread and ...a22ea with two
+    # this 18 184-row mode read ...a22ec with one thread and ...a22ea with
+    # two, and with weights @ f the 20 001-node integral of x^2 + 1 read
+    # ...552p+1 and ...554p+1
     src = os.path.dirname(os.path.dirname(spectrum.__file__))
     outputs = []
     for threads in ("1", "2"):
@@ -554,4 +562,5 @@ def test_mode_does_not_depend_on_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert 15000 <= int(outputs[0].split()[0]) <= 18500
+    assert float.fromhex(outputs[0].split()[3]) == pytest.approx(8.0 / 3.0, rel=1e-14)
     assert outputs[0] == outputs[1]
